@@ -1,12 +1,12 @@
 #pragma once
 // stash::dev::StashDevice — the asynchronous serving frontend of the stack.
 //
-// Callers used to juggle PageMappedFtl, VthiCodec, StegoVolume and
-// ChipArray directly; StashDevice is the one block-device-shaped surface
+// Callers used to juggle FlashChip, PageMappedFtl, VthiCodec and
+// StegoVolume directly; StashDevice is the one block-device-shaped surface
 // over all of them (the role PEARL's deniable FTL and Copycat's request
-// frontend play in their systems).  It owns a par::ChipArray of N chips,
-// one StegoVolume (public FTL + hidden VT-HI channel) per chip, and a
-// deterministic request scheduler in front:
+// frontend play in their systems).  It owns N FlashChips (chip i seeded
+// from (DeviceConfig::seed, i)), one StegoVolume (public FTL + hidden
+// VT-HI channel) per chip, and a deterministic request scheduler in front:
 //
 //   * Asynchronous submission: submit_read / submit_write / submit_trim /
 //     submit_store_hidden / submit_load_hidden / submit_gc return futures.
@@ -55,8 +55,8 @@
 #include "stash/dev/cache.hpp"
 #include "stash/dev/config.hpp"
 #include "stash/crypto/drbg.hpp"
+#include "stash/nand/chip.hpp"
 #include "stash/nand/fault_injector.hpp"
-#include "stash/par/chip_array.hpp"
 #include "stash/par/pool.hpp"
 #include "stash/stego/volume.hpp"
 #include "stash/store/snapshot.hpp"
@@ -164,7 +164,7 @@ class StashDevice {
   [[nodiscard]] std::uint64_t logical_pages() const noexcept;
   [[nodiscard]] std::uint32_t page_bits() const noexcept;
   [[nodiscard]] std::uint32_t chips() const noexcept {
-    return array_.chips();
+    return static_cast<std::uint32_t>(chips_.size());
   }
   [[nodiscard]] const DeviceConfig& config() const noexcept { return config_; }
 
@@ -275,7 +275,7 @@ class StashDevice {
   /// byte-identical across runs whenever the event counts are.
   [[nodiscard]] std::string stats_json() const;
   /// Aggregate cost ledger across all chips (exact fixed-point totals).
-  [[nodiscard]] nand::CostLedger ledger() const { return array_.total_ledger(); }
+  [[nodiscard]] nand::CostLedger ledger() const;
   /// Execution order of the most recent dispatch round.
   [[nodiscard]] const std::vector<ExecutedOp>& last_dispatch_order()
       const noexcept {
@@ -288,7 +288,7 @@ class StashDevice {
   }
   /// Direct access to one chip (per-chip fault injection in tests).
   [[nodiscard]] nand::FlashChip& chip(std::uint32_t index) {
-    return array_.chip(index);
+    return *chips_.at(index);
   }
   [[nodiscard]] par::ThreadPool& pool() noexcept { return pool_; }
 
@@ -312,10 +312,10 @@ class StashDevice {
   };
 
   [[nodiscard]] std::uint32_t chip_of(std::uint64_t lpn) const noexcept {
-    return static_cast<std::uint32_t>(lpn % array_.chips());
+    return static_cast<std::uint32_t>(lpn % chips_.size());
   }
   [[nodiscard]] std::uint64_t local_lpn(std::uint64_t lpn) const noexcept {
-    return lpn / array_.chips();
+    return lpn / chips_.size();
   }
 
   /// Enqueue under lock, then run any dispatch the queue state demands.
@@ -368,7 +368,7 @@ class StashDevice {
 
   DeviceConfig config_;
   par::ThreadPool pool_;
-  par::ChipArray array_;
+  std::vector<std::unique_ptr<nand::FlashChip>> chips_;
   std::vector<std::unique_ptr<stego::StegoVolume>> volumes_;
 
   mutable std::mutex mu_;

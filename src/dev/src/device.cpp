@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "stash/pack/pack.hpp"
+#include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
 
 namespace stash::dev {
@@ -174,18 +175,20 @@ StashDevice::StashDevice(const DeviceConfig& config,
                          const crypto::HidingKey& key)
     : config_(validated(config)),
       pool_(config.threads),
-      array_(config.geometry, config.noise, config.seed, config.chips, pool_,
-             config.costs),
       // Slabs to cover a full LRU plus a queue's worth of in-flight reads,
       // faulted in at construction so cold misses never page-fault inside
       // a latency-measured dispatch round.
       arena_(config.geometry.cells_per_page, 4096,
              config.read_cache_pages + config.queue_depth),
       cache_(config.read_cache_pages, config.read_cache_shards) {
+  chips_.reserve(config_.chips);
   volumes_.reserve(config_.chips);
   for (std::uint32_t c = 0; c < config_.chips; ++c) {
+    chips_.push_back(std::make_unique<nand::FlashChip>(
+        config_.geometry, config_.noise,
+        util::hash_words(config_.seed, 0xC417A55AULL, c), config_.costs));
     volumes_.push_back(std::make_unique<stego::StegoVolume>(
-        array_.chip(c), key, stego::StegoConfig{config_.ftl, config_.vthi}));
+        *chips_[c], key, stego::StegoConfig{config_.ftl, config_.vthi}));
   }
 }
 
@@ -209,9 +212,7 @@ std::uint64_t StashDevice::sim_now() const noexcept {
   // rounds, so reads at serial points (under mu_) are exact and
   // thread-count independent — the virtual trace clock.
   std::uint64_t ns = 0;
-  for (std::uint32_t c = 0; c < array_.chips(); ++c) {
-    ns += array_.chip(c).time_ns();
-  }
+  for (const auto& chip : chips_) ns += chip->time_ns();
   return ns;
 }
 
@@ -703,10 +704,16 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
     for (std::size_t k = 0; k < results.size(); ++k) {
       const std::size_t mi = chip_miss[c][k];
       Miss& miss = misses[mi];
+      // A mapped page the chip returned no cells for (an interrupting read
+      // fault) is a failed read, never an empty page to serve or cache.
+      Status status = results[k].status();
+      if (status.is_ok() && results[k].value() == 0) {
+        status = {ErrorCode::kUncorrectable, "flash read returned no data"};
+      }
       Result<PageRef> outcome =
-          results[k].is_ok()
+          status.is_ok()
               ? Result<PageRef>{std::move(leases[mi]).seal(results[k].value())}
-              : Result<PageRef>{results[k].status()};
+              : Result<PageRef>{status};
       if (outcome.is_ok()) {
         cache_.insert(miss.lpn, outcome.value());
       }
@@ -719,7 +726,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         // covers the whole chip round it rode on.  The FTL/NAND fan-out
         // spans themselves live under the dispatch-round trace.
         finish_trace(reads[r], false,
-                     static_cast<std::uint8_t>(results[k].status().code()));
+                     static_cast<std::uint8_t>(status.code()));
       };
       resolve(miss.first);
       for (const auto& [rm, r] : repeats) {
@@ -994,9 +1001,7 @@ std::size_t StashDevice::idle_tick() {
 // ---- Fault integration -----------------------------------------------------
 
 void StashDevice::set_fault_injector(nand::FaultInjector* injector) noexcept {
-  for (std::uint32_t c = 0; c < array_.chips(); ++c) {
-    array_.chip(c).set_fault_injector(injector);
-  }
+  for (const auto& chip : chips_) chip->set_fault_injector(injector);
 }
 
 Status StashDevice::power_cycle() {
@@ -1085,7 +1090,7 @@ std::vector<store::Chunk> StashDevice::snapshot_chunks() const {
     chunks.push_back(std::move(meta));
   }
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
-    const nand::FlashChip& chip = array_.chip(c);
+    const nand::FlashChip& chip = *chips_[c];
     store::Chunk meta;
     meta.name = chip_meta_name(c);
     chip.serialize_meta(meta.bytes);
@@ -1178,7 +1183,7 @@ Status StashDevice::apply_snapshot(const store::SnapshotData& snap) {
   }
 
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
-    nand::FlashChip& chip = array_.chip(c);
+    nand::FlashChip& chip = *chips_[c];
     chip.drop_all_blocks();
     const std::vector<std::uint8_t>* chip_meta = snap.find(chip_meta_name(c));
     STASH_RETURN_IF_ERROR(
@@ -1304,6 +1309,20 @@ BatchStatus StashDevice::write_batch(
     out.push_back(submit_write(req.lpn, req.bits).get());
   }
   return out;
+}
+
+nand::CostLedger StashDevice::ledger() const {
+  nand::CostLedger total{};
+  for (const auto& chip : chips_) {
+    const nand::CostLedger l = chip->ledger();
+    total.time_us += l.time_us;
+    total.energy_uj += l.energy_uj;
+    total.reads += l.reads;
+    total.programs += l.programs;
+    total.erases += l.erases;
+    total.partial_programs += l.partial_programs;
+  }
+  return total;
 }
 
 DeviceStats StashDevice::stats_snapshot() const noexcept {

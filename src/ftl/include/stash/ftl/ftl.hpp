@@ -21,7 +21,6 @@
 namespace stash::ftl {
 
 using util::BatchResult;
-using util::BatchStatus;
 using util::Result;
 using util::Status;
 
@@ -105,31 +104,27 @@ class PageMappedFtl {
 
   /// Read many logical pages, fanning the physical reads across the pool
   /// grouped by physical block (same-block reads stay in request order, so
-  /// read-disturb noise is deterministic for any thread count).  Follows
-  /// the util::BatchResult convention (stash/util/batch.hpp): result i
-  /// corresponds to lpns[i].  The mapping tables must not be concurrently
-  /// mutated: do not interleave with write()/trim()/run_gc().
-  BatchResult<std::vector<std::uint8_t>> read_batch(
-      std::span<const std::uint64_t> lpns, par::ThreadPool& pool);
-
-  /// Zero-copy read_batch: slot i's page lands in dests[i] (each >=
-  /// page_bits() bytes), result i carrying the cells written as read_into
-  /// does.  Grouping, fan-out order, and the ftl.read_batch trace spans
-  /// are identical to read_batch — the copy, not the schedule, is what
-  /// this variant removes.
+  /// read-disturb noise is deterministic for any thread count).  Slot i's
+  /// page lands in dests[i] (each >= page_bits() bytes), result i carrying
+  /// the cells written as read_into does.  Follows the util::BatchResult
+  /// convention (stash/util/batch.hpp): result i corresponds to lpns[i];
+  /// kInvalidArgument for every slot when dests.size() != lpns.size().
+  /// The mapping tables must not be concurrently mutated: do not
+  /// interleave with write()/trim()/run_gc().
   BatchResult<std::size_t> read_batch_into(
       std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
       std::span<const std::span<std::uint8_t>> dests);
 
+  /// read_batch_into into freshly allocated pages; result i is read(lpns[i])
+  /// under the same schedule and trace spans.
+  BatchResult<std::vector<std::uint8_t>> read_batch(
+      std::span<const std::uint64_t> lpns, par::ThreadPool& pool);
+
+  /// One page write: the element of StashDevice::write_batch.
   struct WriteRequest {
     std::uint64_t lpn = 0;
     std::vector<std::uint8_t> bits;
   };
-  /// Writes execute sequentially in request order (the mapping tables,
-  /// allocator and GC are global state — parallelizing them would reorder
-  /// placement).  Follows the util::BatchStatus convention: slot i holds
-  /// request i's outcome, and one failure does not abort the rest.
-  BatchStatus write_batch(std::span<const WriteRequest> requests);
 
   /// Physical location of a logical page, if mapped.
   [[nodiscard]] std::optional<nand::PageAddr> locate(std::uint64_t lpn) const;

@@ -247,55 +247,20 @@ Result<std::size_t> PageMappedFtl::read_into(std::uint64_t lpn,
       static_cast<std::uint32_t>(phys % geom.pages_per_block), dest);
 }
 
-std::vector<Result<std::vector<std::uint8_t>>> PageMappedFtl::read_batch(
-    std::span<const std::uint64_t> lpns, par::ThreadPool& pool) {
+BatchResult<std::size_t> PageMappedFtl::read_batch_into(
+    std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
+    std::span<const std::span<std::uint8_t>> dests) {
+  if (dests.size() != lpns.size()) {
+    return BatchResult<std::size_t>(
+        lpns.size(),
+        Status{ErrorCode::kInvalidArgument, "one destination per lpn"});
+  }
   const auto& geom = chip_->geometry();
   // Group request indices by the physical block backing each lpn
   // (first-appearance order); unmapped/out-of-range lpns resolve inline.
   // Dispatch batches are small (the device caps them at batch_pages), so a
   // linear scan of the blocks seen so far beats a hash map — no node
   // allocations on the read tail.
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<std::optional<Result<std::vector<std::uint8_t>>>> slots(
-      lpns.size());
-  std::vector<std::uint32_t> group_block;
-  groups.reserve(lpns.size());
-  group_block.reserve(lpns.size());
-  for (std::size_t i = 0; i < lpns.size(); ++i) {
-    if (lpns[i] >= logical_pages_ || l2p_[lpns[i]] == kUnmapped) {
-      slots[i].emplace(read(lpns[i]));  // resolves to the error status
-      continue;
-    }
-    const auto block =
-        static_cast<std::uint32_t>(l2p_[lpns[i]] / geom.pages_per_block);
-    std::size_t g = 0;
-    while (g < group_block.size() && group_block[g] != block) ++g;
-    if (g == group_block.size()) {
-      groups.emplace_back();
-      group_block.push_back(block);
-    }
-    groups[g].push_back(i);
-  }
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    trace::ScopedSpan span(trace::Stage::kFtlReadBatch, trace::Op::kRead,
-                           group_block[g],
-                           groups[g].size() * (page_bits() / 8));
-    for (const std::size_t i : groups[g]) slots[i].emplace(read(lpns[i]));
-  });
-  std::vector<Result<std::vector<std::uint8_t>>> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-BatchResult<std::size_t> PageMappedFtl::read_batch_into(
-    std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
-    std::span<const std::span<std::uint8_t>> dests) {
-  const auto& geom = chip_->geometry();
-  // Mirrors read_batch exactly — same grouping, same fan-out, same trace
-  // spans (byte-stable traces across the two variants) — but each page is
-  // thresholded straight into its caller buffer.  Same linear-scan
-  // grouping as read_batch: no per-batch hash-map churn.
   std::vector<std::vector<std::size_t>> groups;
   std::vector<std::optional<Result<std::size_t>>> slots(lpns.size());
   std::vector<std::uint32_t> group_block;
@@ -330,11 +295,22 @@ BatchResult<std::size_t> PageMappedFtl::read_batch_into(
   return out;
 }
 
-BatchStatus PageMappedFtl::write_batch(std::span<const WriteRequest> requests) {
-  BatchStatus out;
-  out.reserve(requests.size());
-  for (const WriteRequest& req : requests) {
-    out.push_back(write(req.lpn, req.bits));
+BatchResult<std::vector<std::uint8_t>> PageMappedFtl::read_batch(
+    std::span<const std::uint64_t> lpns, par::ThreadPool& pool) {
+  std::vector<std::vector<std::uint8_t>> pages(
+      lpns.size(), std::vector<std::uint8_t>(page_bits()));
+  const std::vector<std::span<std::uint8_t>> dests(pages.begin(),
+                                                   pages.end());
+  auto cells = read_batch_into(lpns, pool, dests);
+  BatchResult<std::vector<std::uint8_t>> out;
+  out.reserve(lpns.size());
+  for (std::size_t i = 0; i < lpns.size(); ++i) {
+    if (!cells[i].is_ok()) {
+      out.push_back(cells[i].status());
+      continue;
+    }
+    pages[i].resize(cells[i].value());  // 0 cells: read()'s empty page
+    out.push_back(std::move(pages[i]));
   }
   return out;
 }

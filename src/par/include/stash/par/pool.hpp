@@ -1,10 +1,9 @@
 #pragma once
-// stash::par::ThreadPool — a deterministic work-stealing thread pool.
+// stash::par::ThreadPool — a deterministic thread pool.
 //
-// The pool itself is a conventional executor: per-worker deques, idle
-// workers steal from their neighbours, submit() round-robins new work.
-// Determinism comes from how the callers use it, and the pool supplies the
-// two shapes that make deterministic parallelism easy:
+// The pool itself is a conventional executor: one FIFO task queue shared by
+// all workers.  Determinism comes from how the callers use it, and the pool
+// supplies the two shapes that make deterministic parallelism easy:
 //
 //   * parallel_for(n, fn) / map<T>(n, fn): an *indexed* fan-out.  fn(i) may
 //     run on any thread in any order, but result i lands in slot i, so a
@@ -137,26 +136,13 @@ class ThreadPool {
   }
 
  private:
-  /// One worker's deque.  The owner pops from the front; thieves take from
-  /// the back, so a long submission run drains mostly in order.
-  struct Worker {
-    std::mutex mu;
-    std::deque<std::function<void()>> q;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, std::function<void()>& out);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  /// Wake tickets: one per submitted task, consumed by waking workers.  A
-  /// consumed ticket guarantees the consumer rescans every deque, so a task
-  /// can never be stranded while all workers sleep.
-  std::size_t tickets_ = 0;
-  bool stop_ = false;
-  std::atomic<std::size_t> rr_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;  // guarded by mu_
+  bool stop_ = false;                        // guarded by mu_
+  std::vector<std::thread> threads_;         // declared last: uses the above
 };
 
 }  // namespace stash::par

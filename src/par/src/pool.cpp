@@ -4,28 +4,22 @@ namespace stash::par {
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads <= 1) return;  // inline mode: no workers, submit() runs now
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   if (threads_.empty()) return;
   {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
+    const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
+  // Workers exit only once the queue is empty, so every task submitted
+  // before destruction runs.
   for (std::thread& t : threads_) t.join();
-  // Belt and braces: run anything still queued (cannot normally happen —
-  // workers drain before exiting — but a dropped task would break a future).
-  std::function<void()> task;
-  while (try_pop(0, task)) task();
 }
 
 void ThreadPool::submit(std::function<void()> fn) {
@@ -44,56 +38,24 @@ void ThreadPool::submit(std::function<void()> fn) {
       };
     }
   }
-  const std::size_t idx =
-      rr_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   {
-    const std::lock_guard<std::mutex> lock(workers_[idx]->mu);
-    workers_[idx]->q.push_back(std::move(fn));
+    const std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(fn));
   }
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    ++tickets_;
-  }
-  wake_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  const std::size_t n = workers_.size();
-  // Own deque first (front = submission order), then steal from the back
-  // of the others, starting at the right-hand neighbour.
-  for (std::size_t k = 0; k < n; ++k) {
-    Worker& w = *workers_[(self + k) % n];
-    const std::lock_guard<std::mutex> lock(w.mu);
-    if (w.q.empty()) continue;
-    if (k == 0) {
-      out = std::move(w.q.front());
-      w.q.pop_front();
-    } else {
-      out = std::move(w.q.back());
-      w.q.pop_back();
-    }
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
-    if (try_pop(self, task)) {
-      task();
-      task = nullptr;  // release captures before sleeping
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stop_ and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    if (tickets_ > 0) {
-      // Consume a ticket and rescan: the push that produced it
-      // happened-before our next try_pop, so its task is visible.
-      --tickets_;
-      continue;
-    }
-    if (stop_) return;
-    wake_cv_.wait(lock, [&] { return stop_ || tickets_ > 0; });
+    task();  // the task (and its captures) dies before the next wait
   }
 }
 

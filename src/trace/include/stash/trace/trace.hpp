@@ -9,8 +9,8 @@
 // (stage, op, duration, key, bytes, outcome) into a per-thread lock-free
 // buffer when it closes.  Context propagates across thread handoff
 // explicitly: par::ThreadPool::submit captures the submitter's context and
-// par::ChipArray captures a per-op context at enqueue, so child spans keep
-// their causal parent no matter which worker runs them.
+// parallel_for installs the caller's context around every iteration, so
+// child spans keep their causal parent no matter which worker runs them.
 //
 // Two clocks:
 //   * ClockMode::kWall — spans carry steady_clock begin/duration (ns since
@@ -49,8 +49,8 @@ enum class Stage : std::uint8_t {
   kDevBuffer,           // write-back buffer admission
   kDevFlush,            // write-back flush (sync or backpressure)
   kDevHidden,           // hidden-volume store/load machinery
-  kFtlReadBatch,        // PageMappedFtl::read_batch per-chip slice
-  kFtlWrite,            // PageMappedFtl::write / write_batch element
+  kFtlReadBatch,        // PageMappedFtl::read_batch_into per-block group
+  kFtlWrite,            // PageMappedFtl::write
   kFtlGc,               // PageMappedFtl::run_gc
   kVthiEmbed,           // VthiChannel::embed
   kVthiExtract,         // VthiChannel::extract
@@ -332,7 +332,7 @@ class ScopedSpan {
 };
 
 /// Installs a captured context as current for the scope — the cross-thread
-/// propagation primitive (pool tasks, chip-array strands) and the way a
+/// propagation primitive (pool tasks, parallel_for iterations) and the way a
 /// request context is re-entered inside shared dispatch machinery.  Emits
 /// nothing itself.
 class ContextGuard {

@@ -12,6 +12,7 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "stash/dev/cache.hpp"
@@ -161,6 +162,33 @@ TEST(DevIo, BoundsAndSizeErrorsAreStatuses) {
   EXPECT_EQ(dev.trim(dev.logical_pages()).code(), ErrorCode::kOutOfBounds);
   EXPECT_EQ(dev.write(0, std::vector<std::uint8_t>(3)).code(),
             ErrorCode::kInvalidArgument);
+}
+
+// A read the chip fails (an interrupting fault returns no cells) is a
+// failed request, not an OK empty page — and it must not be cached, or the
+// next clean read of the page would serve the empty result.
+TEST(DevIo, FailedFlashReadIsAnErrorAndIsNeverCached) {
+  StashDevice dev(tiny_config(), test_key());
+  const auto page = page_pattern(dev.page_bits(), 13);
+  ASSERT_TRUE(dev.write(0, page).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+
+  fault::FaultPlan plan(3);
+  plan.fail_read_at(0);
+  dev.set_fault_injector(&plan);
+  auto failed = dev.read(0);
+  dev.set_fault_injector(nullptr);
+  ASSERT_EQ(plan.stats().read_fails, 1u);
+  EXPECT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.status().code(), ErrorCode::kUncorrectable);
+
+  const auto reads_before = dev.ledger().reads;
+  auto clean = dev.read(0);
+  ASSERT_TRUE(clean.is_ok());
+  EXPECT_EQ(clean.value().size(), dev.page_bits());
+  EXPECT_TRUE(matches(clean.value(), page));
+  EXPECT_GT(dev.ledger().reads, reads_before);  // served from flash
+  EXPECT_EQ(dev.stats_snapshot().cache_hits, 0u);
 }
 
 TEST(DevIo, WriteThroughModeIsDurableOnAck) {
@@ -478,17 +506,34 @@ TEST(DevDeterminism, ThreadCountNeverChangesResultsOrCosts) {
       bytes.push_back(r.is_ok() ? r.value().to_vector()
                                 : std::vector<std::uint8_t>{});
     }
-    return std::make_pair(bytes, dev.ledger());
+    return std::make_tuple(bytes, dev.ledger(), dev.state_checksum());
   };
 
-  const auto [serial_bytes, serial_ledger] = run(1);
-  const auto [parallel_bytes, parallel_ledger] = run(8);
+  const auto [serial_bytes, serial_ledger, serial_sum] = run(1);
+  const auto [parallel_bytes, parallel_ledger, parallel_sum] = run(8);
   EXPECT_EQ(serial_bytes, parallel_bytes);
+  EXPECT_EQ(serial_sum, parallel_sum);
   EXPECT_EQ(serial_ledger.reads, parallel_ledger.reads);
   EXPECT_EQ(serial_ledger.programs, parallel_ledger.programs);
   EXPECT_EQ(serial_ledger.erases, parallel_ledger.erases);
   EXPECT_EQ(serial_ledger.time_us, parallel_ledger.time_us);
   EXPECT_EQ(serial_ledger.energy_uj, parallel_ledger.energy_uj);
+}
+
+// Chip i is seeded from (DeviceConfig::seed, i) by one fixed derivation:
+// every chip's noise — and so state_checksum — is a function of the root
+// seed alone.
+TEST(DevDeterminism, ChipsDeriveDistinctSeeds) {
+  DeviceConfig config = tiny_config();
+  config.seed = 7;
+  config.chips = 3;
+  StashDevice dev(config, test_key());
+  EXPECT_NE(dev.chip(0).serial(), dev.chip(1).serial());
+  EXPECT_NE(dev.chip(1).serial(), dev.chip(2).serial());
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(dev.chip(c).serial(), util::hash_words(7, 0xC417A55AULL, c));
+  }
+  EXPECT_THROW((void)dev.chip(3), std::out_of_range);
 }
 
 // ---- Hidden volume across chips -------------------------------------------

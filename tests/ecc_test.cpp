@@ -1,6 +1,6 @@
 // ECC substrate tests: GF(2^m) field axioms (parameterized over m), BCH
 // encode/decode round trips with random error injection up to and beyond t,
-// Hamming SEC-DED behaviour, and parity-stripe reconstruction.
+// and parity-stripe reconstruction.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "stash/ecc/bch.hpp"
 #include "stash/ecc/gf.hpp"
-#include "stash/ecc/hamming.hpp"
+#include "stash/ecc/parity.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::ecc {
@@ -478,60 +478,6 @@ TEST(BchSimdVsReference, ConcurrentBatchesShareOneCode) {
   }
 }
 
-// ---------------- Hamming SEC-DED ----------------
-
-class HammingTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(HammingTest, RoundTripNoErrors) {
-  HammingSecDed code(GetParam());
-  Xoshiro256 rng(GetParam());
-  std::vector<std::uint8_t> data(GetParam());
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
-  const auto cw = code.encode(data);
-  ASSERT_EQ(cw.size(), code.codeword_bits());
-  const auto decoded = code.decode(cw);
-  ASSERT_TRUE(decoded.ok);
-  EXPECT_EQ(decoded.corrected, 0);
-  EXPECT_EQ(decoded.data_bits, data);
-}
-
-TEST_P(HammingTest, CorrectsEverySingleBitError) {
-  HammingSecDed code(GetParam());
-  Xoshiro256 rng(GetParam() * 3);
-  std::vector<std::uint8_t> data(GetParam());
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
-  const auto cw = code.encode(data);
-  for (std::size_t pos = 0; pos < cw.size(); ++pos) {
-    auto corrupted = cw;
-    corrupted[pos] ^= 1;
-    const auto decoded = code.decode(corrupted);
-    ASSERT_TRUE(decoded.ok) << "flip at " << pos;
-    EXPECT_EQ(decoded.corrected, 1);
-    EXPECT_EQ(decoded.data_bits, data);
-  }
-}
-
-TEST_P(HammingTest, DetectsDoubleBitErrors) {
-  HammingSecDed code(GetParam());
-  Xoshiro256 rng(GetParam() * 7);
-  std::vector<std::uint8_t> data(GetParam());
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
-  const auto cw = code.encode(data);
-  for (int trial = 0; trial < 30; ++trial) {
-    auto corrupted = cw;
-    const auto p1 = static_cast<std::size_t>(rng.below(cw.size()));
-    auto p2 = static_cast<std::size_t>(rng.below(cw.size()));
-    while (p2 == p1) p2 = static_cast<std::size_t>(rng.below(cw.size()));
-    corrupted[p1] ^= 1;
-    corrupted[p2] ^= 1;
-    const auto decoded = code.decode(corrupted);
-    EXPECT_FALSE(decoded.ok) << "flips at " << p1 << "," << p2;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, HammingTest,
-                         ::testing::Values(4, 11, 26, 57, 64, 120, 247));
-
 // ---------------- Parity stripe ----------------
 
 TEST(ParityStripe, ReconstructsAnyMissingBuffer) {
@@ -557,6 +503,71 @@ TEST(ParityStripe, SingleBufferParityIsIdentity) {
   std::vector<std::vector<std::uint8_t>> buffers = {{9, 8, 7}};
   EXPECT_EQ(ParityStripe::compute(buffers), buffers[0]);
 }
+
+// Parameterized over the buffer length in bytes; the stripe width (2..6
+// data buffers) is derived from the length so the sweep covers several.
+class ParityStripeTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  std::vector<std::vector<std::uint8_t>> random_stripe(std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    std::vector<std::vector<std::uint8_t>> buffers(
+        2 + GetParam() % 5, std::vector<std::uint8_t>(GetParam()));
+    for (auto& buf : buffers) {
+      for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+    }
+    return buffers;
+  }
+};
+
+TEST_P(ParityStripeTest, ReconstructsEveryMissingBuffer) {
+  const auto buffers = random_stripe(GetParam());
+  const auto parity = ParityStripe::compute(buffers);
+  ASSERT_EQ(parity.size(), GetParam());
+  for (std::size_t missing = 0; missing < buffers.size(); ++missing) {
+    EXPECT_EQ(ParityStripe::reconstruct(buffers, parity, missing),
+              buffers[missing])
+        << "missing " << missing;
+  }
+}
+
+// Parity cannot correct a corrupted survivor: the damage lands in the
+// rebuilt buffer at the same byte, with the same bit mask, and nowhere else.
+TEST_P(ParityStripeTest, CorruptSurvivorByteLandsInTheSameRebuiltByte) {
+  const auto buffers = random_stripe(GetParam() * 3);
+  const auto parity = ParityStripe::compute(buffers);
+  Xoshiro256 rng(GetParam() * 5);
+  const std::size_t missing = 0;
+  const std::size_t survivor = buffers.size() - 1;
+  for (std::size_t pos = 0; pos < GetParam(); ++pos) {
+    const auto mask = static_cast<std::uint8_t>(1 + rng.below(255));
+    auto damaged = buffers;
+    damaged[survivor][pos] ^= mask;
+    const auto rebuilt = ParityStripe::reconstruct(damaged, parity, missing);
+    ASSERT_EQ(rebuilt.size(), GetParam());
+    for (std::size_t i = 0; i < rebuilt.size(); ++i) {
+      const std::uint8_t expect =
+          i == pos ? static_cast<std::uint8_t>(buffers[missing][i] ^ mask)
+                   : buffers[missing][i];
+      ASSERT_EQ(rebuilt[i], expect) << "flip at " << pos << ", byte " << i;
+    }
+  }
+}
+
+// The parity buffer is itself a stripe member: the stripe plus its parity
+// XORs to zero, and parity is rebuilt from the data buffers alone.
+TEST_P(ParityStripeTest, ParityIsARecoverableStripeMember) {
+  auto buffers = random_stripe(GetParam() * 7);
+  const auto parity = ParityStripe::compute(buffers);
+  buffers.push_back(parity);
+  EXPECT_EQ(ParityStripe::compute(buffers),
+            std::vector<std::uint8_t>(GetParam(), 0));
+  const std::vector<std::uint8_t> zeros(GetParam(), 0);
+  EXPECT_EQ(ParityStripe::reconstruct(buffers, zeros, buffers.size() - 1),
+            parity);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ParityStripeTest,
+                         ::testing::Values(4, 11, 26, 57, 64, 120, 247));
 
 }  // namespace
 }  // namespace stash::ecc

@@ -1,11 +1,16 @@
 // FTL tests: mapping correctness against a reference model, GC invariants,
-// trim, wear leveling, relocation hook, and no-space behaviour.
+// trim, wear leveling, relocation hook, no-space behaviour, and the batch
+// read.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <span>
 
+#include "stash/fault/plan.hpp"
 #include "stash/ftl/ftl.hpp"
+#include "stash/par/pool.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::ftl {
@@ -187,6 +192,79 @@ TEST(Ftl, LogicalCapacityReflectsOverprovisioning) {
       chip.geometry().pages_per_block;
   EXPECT_LT(ftl.logical_pages(), physical_pages);
   EXPECT_GE(ftl.logical_pages(), physical_pages / 2);
+}
+
+std::unique_ptr<PageMappedFtl> ftl_with_pages(FlashChip& chip,
+                                              std::uint64_t pages) {
+  auto ftl = std::make_unique<PageMappedFtl>(chip);
+  for (std::uint64_t lpn = 0; lpn < pages; ++lpn) {
+    EXPECT_TRUE(ftl->write(lpn, pattern_page(ftl->page_bits(), lpn)).is_ok());
+  }
+  return ftl;
+}
+
+// read_batch is read() per slot under the batch schedule: a twin FTL read
+// serially in request order yields the same bits (same-block reads keep
+// their order, so read-disturb draws line up) and the same error statuses.
+TEST(Ftl, ReadBatchMatchesSerialReads) {
+  FlashChip batch_chip(Geometry::tiny(), NoiseModel::vendor_a(), 61);
+  FlashChip serial_chip(Geometry::tiny(), NoiseModel::vendor_a(), 61);
+  auto batch_ftl = ftl_with_pages(batch_chip, 24);
+  auto serial_ftl = ftl_with_pages(serial_chip, 24);
+  // lpn 30 is unwritten and the last one is out of range.
+  const std::vector<std::uint64_t> lpns{3, 0, 3, 17, 30, 9, 0,
+                                        batch_ftl->logical_pages()};
+  par::ThreadPool pool(4);
+  const auto batch = batch_ftl->read_batch(lpns, pool);
+  ASSERT_EQ(batch.size(), lpns.size());
+  for (std::size_t i = 0; i < lpns.size(); ++i) {
+    const auto serial = serial_ftl->read(lpns[i]);
+    ASSERT_EQ(batch[i].is_ok(), serial.is_ok()) << "slot " << i;
+    if (serial.is_ok()) {
+      EXPECT_EQ(batch[i].value(), serial.value()) << "slot " << i;
+    } else {
+      EXPECT_EQ(batch[i].status().code(), serial.status().code());
+    }
+  }
+  EXPECT_EQ(batch[4].status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(batch[7].status().code(), ErrorCode::kOutOfBounds);
+}
+
+// A read the chip failed keeps read()'s observable in the batch: an OK
+// slot holding an empty page.
+TEST(Ftl, ReadBatchKeepsTheEmptyPageOfAFailedRead) {
+  FlashChip chip(Geometry::tiny(), NoiseModel::vendor_a(), 63);
+  auto ftl = ftl_with_pages(chip, 4);
+  fault::FaultPlan plan(5);
+  plan.fail_read_at(0);
+  chip.set_fault_injector(&plan);
+  const std::vector<std::uint64_t> lpns{2, 2};
+  par::ThreadPool pool(1);
+  const auto batch = ftl->read_batch(lpns, pool);
+  chip.set_fault_injector(nullptr);
+  ASSERT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(batch[0].is_ok());
+  EXPECT_TRUE(batch[0].value().empty());
+  ASSERT_TRUE(batch[1].is_ok());
+  EXPECT_EQ(batch[1].value().size(), ftl->page_bits());
+}
+
+TEST(Ftl, ReadBatchIntoRejectsDestinationCountMismatch) {
+  FlashChip chip(Geometry::tiny(), NoiseModel::vendor_a(), 62);
+  PageMappedFtl ftl(chip);
+  ASSERT_TRUE(ftl.write(0, pattern_page(ftl.page_bits(), 1)).is_ok());
+  ASSERT_TRUE(ftl.write(1, pattern_page(ftl.page_bits(), 2)).is_ok());
+  std::vector<std::uint8_t> page(ftl.page_bits());
+  const std::vector<std::span<std::uint8_t>> one_dest{page};
+  const std::vector<std::uint64_t> lpns{0, 1};
+  par::ThreadPool pool(1);
+  const auto reads_before = chip.ledger().reads;
+  const auto results = ftl.read_batch_into(lpns, pool, one_dest);
+  ASSERT_EQ(results.size(), lpns.size());
+  for (const auto& r : results) {
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  }
+  EXPECT_EQ(chip.ledger().reads, reads_before);  // nothing was read
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // stash::par tests: thread-pool semantics (inline mode, full coverage,
 // slot-ordered map, exception propagation), concurrency safety of the
-// telemetry primitives under multi-threaded hammering, ChipArray batch
-// dispatch from many workers, and the tentpole guarantee: a multi-threaded
+// telemetry primitives under multi-threaded hammering, chip batches fanned
+// out from many workers, and the tentpole guarantee: a multi-threaded
 // batch produces bit-identical voltages, reads and ledger totals to a
 // serial one.
 //
@@ -13,12 +13,13 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "stash/nand/chip.hpp"
-#include "stash/par/chip_array.hpp"
 #include "stash/par/pool.hpp"
 #include "stash/telemetry/metrics.hpp"
 #include "stash/telemetry/trace.hpp"
@@ -47,6 +48,75 @@ std::vector<std::uint8_t> page_bits(std::uint32_t chip, std::uint32_t block,
   std::vector<std::uint8_t> bits(cells);
   for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
   return bits;
+}
+
+using Chips = std::vector<std::unique_ptr<nand::FlashChip>>;
+
+/// N chips seeded the way StashDevice seeds its own.
+Chips make_chips(const nand::Geometry& geom, std::uint64_t root,
+                 std::uint32_t n) {
+  Chips chips;
+  for (std::uint32_t c = 0; c < n; ++c) {
+    chips.push_back(std::make_unique<nand::FlashChip>(
+        geom, nand::NoiseModel::vendor_a(),
+        util::hash_words(root, 0xC417A55AULL, c)));
+  }
+  return chips;
+}
+
+/// One chip operation of a batch; the outcome lands in the field its kind
+/// fills.
+struct ChipOp {
+  enum Kind { kErase, kProgram, kRead, kProbe };
+  ChipOp(Kind k, std::uint32_t c, std::uint32_t b, std::uint32_t p = 0,
+         std::vector<std::uint8_t> in = {})
+      : kind(k), chip(c), block(b), page(p), bits(std::move(in)) {}
+
+  Kind kind;
+  std::uint32_t chip;
+  std::uint32_t block;
+  std::uint32_t page;
+  std::vector<std::uint8_t> bits;  // kProgram input, kRead output
+  std::vector<int> volts;          // kProbe output
+  std::optional<util::Status> status;
+};
+
+/// The device's fan-out shape (PageMappedFtl::read_batch_into, the flush):
+/// ops grouped by (chip, block) in first-appearance order, one
+/// parallel_for iteration per group, same-block ops in submission order.
+void run_batch(ThreadPool& pool, Chips& chips, std::vector<ChipOp>& ops) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> group_key;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const std::pair key{ops[i].chip, ops[i].block};
+    std::size_t g = 0;
+    while (g < group_key.size() && group_key[g] != key) ++g;
+    if (g == group_key.size()) {
+      groups.emplace_back();
+      group_key.push_back(key);
+    }
+    groups[g].push_back(i);
+  }
+  pool.parallel_for(groups.size(), [&](std::size_t g) {
+    for (const std::size_t i : groups[g]) {
+      ChipOp& op = ops[i];
+      nand::FlashChip& chip = *chips.at(op.chip);
+      switch (op.kind) {
+        case ChipOp::kErase:
+          op.status = chip.erase_block(op.block);
+          break;
+        case ChipOp::kProgram:
+          op.status = chip.program_page(op.block, op.page, op.bits);
+          break;
+        case ChipOp::kRead:
+          op.bits = chip.read_page(op.block, op.page);
+          break;
+        case ChipOp::kProbe:
+          op.volts = chip.probe_voltages(op.block, op.page);
+          break;
+      }
+    }
+  });
 }
 
 // ---------------- ThreadPool ----------------
@@ -187,42 +257,44 @@ TEST(Concurrency, TraceSinkHammeredFromManyThreads) {
   }
 }
 
-// ---------------- ChipArray ----------------
+// ---------------- Chip batches on the pool ----------------
 
-TEST(ChipArray, BatchProgramAndReadFromManyWorkers) {
+TEST(ChipBatch, BatchProgramAndReadFromManyWorkers) {
   ThreadPool pool(4);
   const auto geom = small_geometry();
-  ChipArray array(geom, nand::NoiseModel::vendor_a(), 0xA11CE, 2, pool);
+  Chips chips = make_chips(geom, 0xA11CE, 2);
 
-  // Program every page of every block on both chips through the batch API,
-  // then read everything back.  All futures must succeed and every read
-  // must round-trip the programmed bits (public reads are near-noiseless
-  // at vendor_a defaults on fresh blocks).
-  std::vector<std::future<util::Status>> programs;
-  for (std::uint32_t c = 0; c < array.chips(); ++c) {
+  // Program every page of every block on both chips in one batch, then
+  // read everything back in another.  Every program must succeed and every
+  // read must round-trip the programmed bits (public reads are
+  // near-noiseless at vendor_a defaults on fresh blocks).
+  std::vector<ChipOp> programs;
+  for (std::uint32_t c = 0; c < chips.size(); ++c) {
     for (std::uint32_t b = 0; b < geom.blocks; ++b) {
       for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-        programs.push_back(array.submit_program(
-            c, b, p, page_bits(c, b, p, geom.cells_per_page)));
+        programs.push_back({ChipOp::kProgram, c, b, p,
+                            page_bits(c, b, p, geom.cells_per_page)});
       }
     }
   }
-  for (auto& fut : programs) EXPECT_TRUE(fut.get().is_ok());
+  run_batch(pool, chips, programs);
+  for (const auto& op : programs) EXPECT_TRUE(op.status->is_ok());
 
-  std::vector<std::future<std::vector<std::uint8_t>>> reads;
-  for (std::uint32_t c = 0; c < array.chips(); ++c) {
+  std::vector<ChipOp> reads;
+  for (std::uint32_t c = 0; c < chips.size(); ++c) {
     for (std::uint32_t b = 0; b < geom.blocks; ++b) {
       for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-        reads.push_back(array.submit_read(c, b, p));
+        reads.push_back({ChipOp::kRead, c, b, p});
       }
     }
   }
+  run_batch(pool, chips, reads);
   std::size_t idx = 0;
   std::size_t bit_errors = 0;
-  for (std::uint32_t c = 0; c < array.chips(); ++c) {
+  for (std::uint32_t c = 0; c < chips.size(); ++c) {
     for (std::uint32_t b = 0; b < geom.blocks; ++b) {
       for (std::uint32_t p = 0; p < geom.pages_per_block; ++p, ++idx) {
-        const auto readback = reads[idx].get();
+        const auto& readback = reads[idx].bits;
         const auto expected = page_bits(c, b, p, geom.cells_per_page);
         ASSERT_EQ(readback.size(), expected.size());
         for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -234,43 +306,24 @@ TEST(ChipArray, BatchProgramAndReadFromManyWorkers) {
   // ~1e-5 public BER: allow a small handful across 32k cells.
   EXPECT_LE(bit_errors, 8u);
 
-  const auto ledger = array.total_ledger();
+  nand::CostLedger ledger{};
+  for (const auto& chip : chips) {
+    ledger.programs += chip->ledger().programs;
+    ledger.reads += chip->ledger().reads;
+  }
   EXPECT_EQ(ledger.programs,
-            static_cast<std::uint64_t>(array.chips()) * geom.blocks *
+            static_cast<std::uint64_t>(chips.size()) * geom.blocks *
                 geom.pages_per_block);
   EXPECT_EQ(ledger.reads, ledger.programs);
-}
-
-TEST(ChipArray, ChipsDeriveDistinctSeeds) {
-  ThreadPool pool(1);
-  ChipArray array(small_geometry(), nand::NoiseModel::vendor_a(), 7, 3, pool);
-  EXPECT_NE(array.chip(0).serial(), array.chip(1).serial());
-  EXPECT_NE(array.chip(1).serial(), array.chip(2).serial());
-  EXPECT_EQ(array.chip(0).serial(), ChipArray::chip_seed(7, 0));
-}
-
-TEST(ChipArray, SubmitOnBlockSequencesWithBatchTraffic) {
-  ThreadPool pool(4);
-  const auto geom = small_geometry();
-  ChipArray array(geom, nand::NoiseModel::vendor_a(), 99, 1, pool);
-  // Program page 0 via the batch API, then run a custom op on the same
-  // block's strand: it must observe the completed program.
-  auto prog = array.submit_program(0, 5, 0, page_bits(0, 5, 0,
-                                                      geom.cells_per_page));
-  auto probe = array.submit_on_block(0, 5, [](nand::FlashChip& chip) {
-    ASSERT_EQ(chip.page_state(5, 0), nand::PageState::kProgrammed);
-  });
-  EXPECT_TRUE(prog.get().is_ok());
-  probe.get();
 }
 
 // ---------------- The determinism guarantee ----------------
 
 // Run the same mixed batch (erase, program, read, probe, interleaved across
-// chips and blocks, including same-block sequences) against two arrays
-// built from the same root seed — one on an inline pool, one on eight
-// workers — and require bit-identical probe snapshots, read results and
-// ledger totals.
+// chips and blocks, including same-block sequences) against two chip
+// vectors built from the same root seed — one on an inline pool, one on
+// eight workers — and require bit-identical probe snapshots, read results
+// and ledger totals.
 TEST(Determinism, EightThreadBatchMatchesSerialBitForBit) {
   const auto geom = small_geometry();
   constexpr std::uint64_t kRoot = 0xD373C7;
@@ -284,44 +337,46 @@ TEST(Determinism, EightThreadBatchMatchesSerialBitForBit) {
 
   auto run = [&](unsigned threads) {
     ThreadPool pool(threads);
-    ChipArray array(geom, nand::NoiseModel::vendor_a(), kRoot, kChips, pool);
+    Chips chips = make_chips(geom, kRoot, kChips);
 
     // Mixed deterministic workload.  Same-block operations are submitted
-    // in a fixed order; the shard strands preserve it on any thread count.
-    std::vector<std::future<util::Status>> statuses;
+    // in a fixed order; the (chip, block) groups preserve it on any thread
+    // count.
+    std::vector<ChipOp> ops;
     for (std::uint32_t c = 0; c < kChips; ++c) {
       for (std::uint32_t b = 0; b < geom.blocks; ++b) {
         for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-          statuses.push_back(array.submit_program(
-              c, b, p, page_bits(c, b, p, geom.cells_per_page)));
+          ops.push_back({ChipOp::kProgram, c, b, p,
+                         page_bits(c, b, p, geom.cells_per_page)});
         }
       }
     }
     // Re-erase and re-program a few blocks: exercises erase->program
-    // ordering inside one strand while other shards still run.
+    // ordering inside one group while other groups still run.
     for (std::uint32_t c = 0; c < kChips; ++c) {
       for (std::uint32_t b = 0; b < 4; ++b) {
-        statuses.push_back(array.submit_erase(c, b));
-        statuses.push_back(array.submit_program(
-            c, b, 0, page_bits(c, b ^ 1, 0, geom.cells_per_page)));
+        ops.push_back({ChipOp::kErase, c, b});
+        ops.push_back({ChipOp::kProgram, c, b, 0,
+                       page_bits(c, b ^ 1, 0, geom.cells_per_page)});
       }
     }
-    Snapshot snap;
-    std::vector<std::future<std::vector<std::uint8_t>>> reads;
-    std::vector<std::future<std::vector<int>>> probes;
     for (std::uint32_t c = 0; c < kChips; ++c) {
       for (std::uint32_t b = 0; b < geom.blocks; ++b) {
-        reads.push_back(array.submit_read(c, b, 0));
-        probes.push_back(array.submit_probe(
-            c, b, geom.pages_per_block - 1));
+        ops.push_back({ChipOp::kRead, c, b, 0});
+        ops.push_back({ChipOp::kProbe, c, b, geom.pages_per_block - 1});
       }
     }
-    for (auto& s : statuses) EXPECT_TRUE(s.get().is_ok());
-    for (auto& r : reads) snap.reads.push_back(r.get());
-    for (auto& p : probes) snap.probes.push_back(p.get());
-    array.drain();
+    run_batch(pool, chips, ops);
+    Snapshot snap;
+    for (const auto& op : ops) {
+      if (op.status) {
+        EXPECT_TRUE(op.status->is_ok());
+      }
+      if (op.kind == ChipOp::kRead) snap.reads.push_back(op.bits);
+      if (op.kind == ChipOp::kProbe) snap.probes.push_back(op.volts);
+    }
     for (std::uint32_t c = 0; c < kChips; ++c) {
-      snap.ledgers.push_back(array.chip(c).ledger());
+      snap.ledgers.push_back(chips[c]->ledger());
     }
     return snap;
   };
