@@ -80,6 +80,9 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
     const std::size_t take = std::min(data.size(), 64 - buffer_len_);
+    // take == 0 means data is empty, and an empty span may carry a null
+    // data(), which memcpy must not see even for zero bytes.
+    if (take == 0) return;
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset += take;

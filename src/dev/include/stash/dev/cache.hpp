@@ -9,12 +9,18 @@
 // shard can have zero pages when capacity < shards; its lookups simply
 // always miss).
 //
-// WriteBackBuffer — the volatile staging area of acknowledged writes.  One
-// entry per lpn in first-touch order; rewriting a buffered lpn coalesces in
-// place (the flash never sees the overwritten version).  trim() buffers a
-// tombstone the same way.  The buffer IS the acked-but-not-durable set: a
-// power cut wipes it, which is exactly the data the device must then report
-// lost (see StashDevice::power_cycle).
+// WriteBackBuffer — the volatile staging area of acknowledged writes,
+// double-buffered.  Writes land in the *open* half: one entry per lpn in
+// first-touch order; rewriting a buffered lpn coalesces in place (the flash
+// never sees the overwritten version), and trim buffers a tombstone the
+// same way.  An open half holding half_pages entries is *sealed*;
+// hand_off() turns it into the *destaging* half, which StashDevice programs
+// in the background while the next open half fills.  A destaged half stays
+// readable until the next hand_off() or retire(), so what a read finds is a
+// function of the submission sequence alone.  The two halves together ARE
+// the acked-but-not-durable set: a power cut wipes them, and the writes
+// among them that never reached flash are exactly the data the device must
+// then report lost (see StashDevice::power_cycle).
 
 #include <cstdint>
 #include <list>
@@ -75,41 +81,67 @@ class WriteBackBuffer {
     std::uint64_t lpn = 0;
     PageRef bits;  // empty for a trim tombstone
     bool trim = false;
+    /// Destaging half only: the entry reached flash.
+    bool programmed = false;
   };
 
-  /// Stage a write; returns true when it coalesced into an existing entry.
-  /// The staged PageRef is shared with buffer-hit readers until flushed.
+  /// Each half holds at most max(1, half_pages) entries.
+  explicit WriteBackBuffer(std::size_t half_pages);
+
+  /// Stage a write in the open half; returns true when it coalesced into
+  /// an existing open entry.  The staged PageRef is shared with buffer-hit
+  /// readers until retired.
   bool put(std::uint64_t lpn, PageRef bits);
-  /// Stage a trim tombstone for `lpn`.
+  /// Stage a trim tombstone for `lpn` in the open half.
   bool put_trim(std::uint64_t lpn);
 
-  /// Buffered data for `lpn`: the staged bits, an engaged-but-empty vector
-  /// meaning "trimmed", or nullopt when the lpn is not buffered.
+  /// Newest staged entry for `lpn` (open half, then destaging half), or
+  /// nullptr when the lpn is not buffered.
   [[nodiscard]] const Entry* find(std::uint64_t lpn) const;
 
-  /// Entries in first-touch order (the flush order).
-  [[nodiscard]] const std::list<Entry>& entries() const noexcept {
-    return entries_;
+  /// The open half is full: it must be handed off before it takes more.
+  [[nodiscard]] bool sealed() const noexcept {
+    return open_.size() >= half_pages_;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-  /// Staged entries that are acknowledged writes (excludes trim
-  /// tombstones): the data a power cut would lose.  Maintained
-  /// incrementally through put/put_trim/erase conversions.
-  [[nodiscard]] std::size_t pending_writes() const noexcept {
-    return pending_writes_;
-  }
+  /// Start a destage: retire the destaging half — programmed entries drop;
+  /// unprogrammed ones (a failed destage) carry over unless the open half
+  /// rewrote them — and move the open half in behind the carried entries.
+  /// Returns the new destaging half, in staging order.
+  const std::vector<Entry>& hand_off();
+  /// Record that destaging entry `i` reached flash.
+  void mark_programmed(std::size_t i) { destaging_.at(i).programmed = true; }
+  /// Drop the programmed entries of the destaging half (the end of a
+  /// flush); unprogrammed ones stay staged.
+  void retire();
+  /// True when a hand_off() would destage anything.
+  [[nodiscard]] bool needs_destage() const;
 
-  /// Remove one flushed entry.
-  void erase(std::uint64_t lpn);
-  /// Drop everything (power loss); returns the dropped entries so the
-  /// caller can account for them.
-  std::list<Entry> drop_all();
+  [[nodiscard]] const std::vector<Entry>& destaging() const noexcept {
+    return destaging_;
+  }
+  [[nodiscard]] std::size_t open_size() const noexcept { return open_.size(); }
+  /// Staged entries over both halves.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return open_.size() + destaging_.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  /// Staged writes not yet in flash (trim tombstones excluded): the data a
+  /// power cut would lose.
+  [[nodiscard]] std::size_t pending_writes() const;
+
+  /// Drop everything (power loss).  Returns the lpns the drop loses, in
+  /// staging order: each lpn whose newest entry is a write that never
+  /// reached flash.
+  std::vector<std::uint64_t> drop_all();
 
  private:
-  std::list<Entry> entries_;
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::size_t pending_writes_ = 0;
+  using Index = std::unordered_map<std::uint64_t, std::size_t>;
+
+  std::size_t half_pages_;
+  std::vector<Entry> open_;
+  Index open_index_;
+  std::vector<Entry> destaging_;
+  Index destaging_index_;
 };
 
 }  // namespace stash::dev

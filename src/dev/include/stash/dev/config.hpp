@@ -34,9 +34,10 @@ struct DeviceConfig {
   /// device is reproducible from this one value.
   std::uint64_t seed = 0x57a5Fdeb1ceULL;
   std::uint32_t chips = 1;
-  /// Worker threads for batch fan-out; <= 1 runs everything inline on the
-  /// submitting thread (the fully serial reference schedule).  Results are
-  /// byte-identical for any value — see stash::par.
+  /// Worker threads for read fan-out (PageMappedFtl::read_batch_into);
+  /// <= 1 runs reads inline on the submitting thread.  Results are
+  /// byte-identical for any value — see stash::par.  The write-back
+  /// destage does not use them: it always runs on one worker per chip.
   unsigned threads = 1;
 
   // ---- Request scheduler --------------------------------------------------
@@ -55,9 +56,13 @@ struct DeviceConfig {
   /// Read LRU capacity in pages across all shards; 0 disables the cache.
   std::size_t read_cache_pages = 256;
   std::uint32_t read_cache_shards = 4;
-  /// Write-back buffer capacity in pages; reaching it forces a flush
-  /// (backpressure).  0 selects write-through: every write is durable
-  /// before its future resolves.
+  /// Write-back buffer bound in pages, split into two halves of
+  /// write_back_pages / 2 (at least 1): the open half takes new writes; a
+  /// full one is sealed and destaged in the background while the other
+  /// fills.  A write that finds the open half sealed behind a running
+  /// destage waits (as a pending future) for that destage to finish.
+  /// 0 selects write-through: every write is durable before its future
+  /// resolves.
   std::size_t write_back_pages = 64;
 
   // ---- Per-chip layers ----------------------------------------------------

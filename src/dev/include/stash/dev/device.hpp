@@ -22,33 +22,54 @@
 //     (duplicate-lpn reads collapse to one physical read); a request older
 //     than deadline_ticks submissions forces dispatch.  Ticks, not wall
 //     clock, so the schedule is reproducible.
-//   * Sharded read LRU (ReadCache) and a write-back buffer
+//   * Sharded read LRU (ReadCache) and a double-buffered write-back buffer
 //     (WriteBackBuffer) with an explicit flush().  A write is acknowledged
-//     when buffered and durable when flush() returns OK; under a
+//     when staged and durable when flush() returns OK.  A full open half is
+//     sealed and handed to one destage worker per chip, which program it
+//     in the background while the next half fills; a write that finds the
+//     open half sealed behind a still-running destage gets a pending
+//     future, admitted in FIFO order when that destage completes
+//     (backpressure that never blocks the submitting thread).  The next
+//     destage then holds its start until the admitted writers' burst
+//     seals the open half (5 ms at most), so that burst is served on idle
+//     CPUs and the programs run while the writers wait.  Under a
 //     stash::fault power cut, everything a successful flush() covered
-//     survives, and power_cycle() reports the acked-unflushed remainder as
-//     lost (never corrupted — the FTL remaps only after a program
-//     completes, so torn writes leave the old version readable).
+//     survives, and power_cycle() reports the acked writes that never
+//     reached flash as lost (never corrupted — the FTL remaps only after a
+//     program completes, so torn writes leave the old version readable).
 //
-// Determinism: all flash-touching work happens inside dispatch rounds,
-// driven from the submitting thread; fan-out uses the deterministic batch
-// entry points (read_batch groups same-block requests; per-chip work is
-// independent by FlashChip's per-block RNG streams).  For a fixed
-// submission sequence the device state, every result, and the cost-ledger
-// totals are byte-identical for any DeviceConfig::threads.
+// Determinism: the schedule — dispatch rounds, QoS order, where each
+// write-back half seals, what it holds, and so which versions each chip
+// programs in which order — is a function of the submission sequence
+// alone.  Results, device state and cost-ledger totals are a pure function
+// of it, byte-identical for any DeviceConfig::threads, whenever no NAND
+// read overlaps a destage: such a read interleaves with the destage's page
+// ops by wall clock, and whether it still finds a just-destaged half is
+// timing too.  Every determinism gate (fill, flush, then read) has that
+// shape.
 //
-// Concurrency: the public API is thread-safe (one internal mutex); the
-// scheduler executes one dispatch round at a time.  Addressing stripes the
-// device LPN space across chips: lpn -> (chip = lpn % chips,
-// local = lpn / chips).
+// Concurrency: the public API is thread-safe.  One mutex (mu_) guards the
+// queue and the write-back buffer; dispatch rounds run under it on the
+// submitting thread, one at a time.  The destage workers take mu_ only to
+// pick up, retire, hand off and admit — never across FTL or NAND work —
+// and their page programs overlap read misses through the FTL's shared
+// map lock.  Everything else that touches a chip's FTL or StegoVolume
+// (hidden store/load/info, GC, flush, power_cycle, snapshots,
+// state_checksum, volume(), chip(), set_fault_injector) first waits for
+// the destage to go idle.  Addressing stripes the device LPN space across
+// chips: lpn -> (chip = lpn % chips, local = lpn / chips).
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "stash/dev/arena.hpp"
@@ -114,9 +135,9 @@ struct DeviceStats {
   std::uint64_t coalesced_reads = 0;  // duplicate lpns collapsed in a batch
   std::uint64_t dispatches = 0;       // dispatch rounds executed
   std::uint64_t deadline_dispatches = 0;  // rounds forced by deadline_ticks
-  std::uint64_t flushes = 0;          // flush() calls that drained something
+  std::uint64_t flushes = 0;          // write-back halves handed to destage
   std::uint64_t flushed_pages = 0;    // buffer entries made durable
-  std::uint64_t lost_writes = 0;      // acked-unflushed entries lost to a cut
+  std::uint64_t lost_writes = 0;      // acked writes lost to a cut
   std::uint64_t gc_runs = 0;          // background GC rounds executed
   std::uint64_t hidden_stores = 0;    // store_hidden requests that succeeded
   std::uint64_t hidden_loads = 0;     // load_hidden requests that succeeded
@@ -156,8 +177,9 @@ class StashDevice {
   StashDevice(const DeviceConfig& config, const crypto::HidingKey& key);
   StashDevice(const StashDevice&) = delete;
   StashDevice& operator=(const StashDevice&) = delete;
-  /// Drains the queue and flushes the write-back buffer (best effort; a
-  /// dark device simply keeps its volatile state lost).
+  /// Drains the queue, flushes the write-back buffer (best effort; a dark
+  /// device simply keeps its volatile state lost) and joins the destage
+  /// workers.
   ~StashDevice();
 
   // ---- Geometry -----------------------------------------------------------
@@ -175,10 +197,13 @@ class StashDevice {
   std::future<Result<PageRef>> submit_read(
       std::uint64_t lpn, Priority priority = Priority::kForeground);
   /// Stage a write.  Write-back mode acknowledges as soon as the data is
-  /// buffered (durable only after flush()); write-through mode
-  /// (write_back_pages == 0) is durable before the future resolves.
+  /// buffered (durable only after flush()); a write that arrives while the
+  /// open half is sealed behind a running destage resolves when that
+  /// destage completes.  Write-through mode (write_back_pages == 0) is
+  /// durable before the future resolves.
   std::future<Status> submit_write(std::uint64_t lpn,
                                    std::vector<std::uint8_t> bits);
+  /// Stage a trim tombstone, exactly like a write.
   std::future<Status> submit_trim(std::uint64_t lpn);
   /// Queue hidden-volume ops and GC at background priority.
   std::future<Status> submit_store_hidden(std::vector<std::uint8_t> data);
@@ -213,9 +238,11 @@ class StashDevice {
       std::span<const ftl::PageMappedFtl::WriteRequest> requests);
 
   // ---- Durability ---------------------------------------------------------
-  /// Drain the write-back buffer to flash in staging order.  On OK, every
-  /// write acknowledged before this call is durable.  On failure (e.g. a
-  /// power cut mid-drain) the un-persisted entries stay buffered.
+  /// Wait for any running destage, destage the rest of the write-back
+  /// buffer, and retire it.  On OK, every write acknowledged before this
+  /// call is durable.  On failure (e.g. a power cut mid-drain, or an error
+  /// of a background destage since the last flush) the un-persisted
+  /// entries stay buffered.
   Status flush();
   /// Dispatch everything queued (does not flush).
   void drain();
@@ -226,15 +253,23 @@ class StashDevice {
   /// than deadline_ticks dispatches exactly as a submission-driven
   /// deadline would.  Returns the queue depth after any dispatch.
   std::size_t idle_tick();
+  /// Called (from a destage worker, under the device lock: keep it short
+  /// and never call back into the device) whenever a completed destage
+  /// admitted pending writes, i.e. made their futures ready.  An event
+  /// loop installs a wake-up here; nullptr uninstalls, and once the call
+  /// returns the old hook is never invoked again.
+  void set_completion_hook(std::function<void()> hook);
 
   // ---- Fault integration --------------------------------------------------
-  /// Attach `injector` to every chip of the array (nullptr detaches).
+  /// Attach `injector` to every chip of the array (nullptr detaches),
+  /// once any running destage is idle.
   void set_fault_injector(nand::FaultInjector* injector) noexcept;
   /// Simulated reboot after a power cut: volatile state (write-back
-  /// buffer, read cache, queued requests) is gone.  Queued requests
-  /// resolve with kPowerLoss; acked-unflushed writes are recorded in
-  /// lost_writes() — reported lost, never silently dropped.  Call after
-  /// restoring power on the fault plan.
+  /// buffer, read cache, queued requests) is gone.  A running destage
+  /// finishes first; queued requests resolve with kPowerLoss; acked writes
+  /// that never reached flash are recorded in lost_writes() — reported
+  /// lost, never silently dropped.  Call after restoring power on the
+  /// fault plan.
   Status power_cycle();
   /// LPNs of acknowledged writes lost to power cuts, in staging order.
   [[nodiscard]] const std::vector<std::uint64_t>& lost_writes()
@@ -282,14 +317,12 @@ class StashDevice {
     return last_dispatch_;
   }
   /// Direct access to a chip's volume / the pool (expert escape hatches;
-  /// do not interleave with queued traffic).
-  [[nodiscard]] stego::StegoVolume& volume(std::uint32_t chip) {
-    return *volumes_.at(chip);
-  }
-  /// Direct access to one chip (per-chip fault injection in tests).
-  [[nodiscard]] nand::FlashChip& chip(std::uint32_t index) {
-    return *chips_.at(index);
-  }
+  /// do not interleave with queued traffic).  Waits for the destage to go
+  /// idle first.
+  [[nodiscard]] stego::StegoVolume& volume(std::uint32_t chip);
+  /// Direct access to one chip (per-chip fault injection in tests); waits
+  /// for the destage to go idle first.
+  [[nodiscard]] nand::FlashChip& chip(std::uint32_t index);
   [[nodiscard]] par::ThreadPool& pool() noexcept { return pool_; }
 
  private:
@@ -318,8 +351,39 @@ class StashDevice {
     return lpn / chips_.size();
   }
 
+  /// A write or trim that found the open half sealed: staged data plus
+  /// the future it owes, admitted when the running destage completes.
+  struct PendingWrite {
+    std::uint64_t lpn = 0;
+    PageRef bits;  // empty for a trim
+    bool trim = false;
+    std::promise<Status> promise;
+    std::chrono::steady_clock::time_point start;
+    trace::TraceContext trace{};
+    std::uint64_t enqueue_now = 0;  // staging clock at submission
+  };
+
+  /// One destage: the per-chip shares of the destaging half (indices into
+  /// WriteBackBuffer::destaging(), staging order) and their outcomes.
+  struct Destage {
+    std::uint64_t gen = 0;  // bumped per hand-off; workers wait on it
+    std::vector<std::vector<std::size_t>> items;
+    std::vector<std::vector<Status>> results;
+    std::uint32_t chips_left = 0;
+    /// Workers wait while held (until held_until at the latest); see
+    /// finish_destage_locked().
+    bool held = false;
+    std::chrono::steady_clock::time_point held_until;
+    std::chrono::steady_clock::time_point start;
+    trace::TraceContext trace{};
+    std::uint64_t trace_t0 = 0;
+  };
+
   /// Enqueue under lock, then run any dispatch the queue state demands.
   void enqueue(Request req, std::unique_lock<std::mutex>& lock);
+  /// submit_write / submit_trim body.
+  std::future<Status> submit_update(trace::Op op, std::uint64_t lpn,
+                                    std::vector<std::uint8_t> bits);
   /// Execute every queued request in (priority, seq) order.  Called with
   /// the lock held; the lock stays held throughout (dispatch is the
   /// single-threaded heart of the deterministic schedule).
@@ -335,8 +399,24 @@ class StashDevice {
   Result<RawHidden> load_hidden_raw();
   Result<std::vector<std::uint8_t>> execute_load_hidden();
   Status execute_gc();
+
+  // ---- Write-back destage (all *_locked helpers run under mu_) -----------
+  /// Stage one write/trim in the open half and resolve its future.
+  void admit_locked(PendingWrite& write);
+  /// Hand the open half (plus any entries a failed destage left) to the
+  /// chip workers; requires an idle destage.
+  void hand_off_locked();
+  /// Run by the last chip worker to finish: record the outcome, hand off a
+  /// sealed half, admit pending writes, wake idle waiters.
+  void finish_destage_locked();
+  void release_held_destage_locked() const;
+  /// Releases a held destage, then waits for it to finish.
+  void wait_destage_idle(std::unique_lock<std::mutex>& lock) const;
+  void destage_worker(std::uint32_t chip);
+  void stop_workers() noexcept;
+  void set_buffer_gauges() const;
   /// Flush body; requires the lock.
-  Status flush_locked();
+  Status flush_locked(std::unique_lock<std::mutex>& lock);
 
   // ---- Persistence helpers (all called under mu_) -------------------------
   /// Identity of the substrate a snapshot is only valid against: geometry,
@@ -356,6 +436,10 @@ class StashDevice {
   [[nodiscard]] std::uint64_t sim_now() const noexcept;
   /// Wall or simulated nanoseconds depending on the tracer's clock mode.
   [[nodiscard]] std::uint64_t trace_now() const noexcept;
+  /// Clock of write-back staging spans: the wall clock in wall mode; 0 in
+  /// virtual mode, where staging does no chip work and the summed chip
+  /// clock would fold in whatever a background destage did meanwhile.
+  [[nodiscard]] std::uint64_t staging_now() const noexcept;
   /// Allocate a (possibly inactive) root context for a new request.
   [[nodiscard]] trace::TraceContext new_request_trace(trace::Op op,
                                                       std::uint64_t key);
@@ -386,6 +470,17 @@ class StashDevice {
   std::vector<std::uint64_t> lost_writes_;
   std::vector<ExecutedOp> last_dispatch_;
 
+  // ---- Write-back destage state (guarded by mu_) --------------------------
+  std::deque<PendingWrite> pending_writes_;  // FIFO admission order
+  mutable Destage destage_;
+  bool destage_active_ = false;
+  bool stopping_ = false;
+  std::uint64_t destage_seq_ = 0;     // destage trace ids
+  Status destage_error_;              // first error since the last flush()
+  std::function<void()> completion_hook_;
+  mutable std::condition_variable work_cv_;   // workers: a new destage
+  mutable std::condition_variable idle_cv_;   // waiters: destage idle
+
   // Per-instance counters (mirrored into the global "dev.*" registry
   // instruments inside device.cpp).
   struct Counters {
@@ -408,6 +503,9 @@ class StashDevice {
     telemetry::Counter bytes_copied;
   };
   Counters counters_;
+  /// One destage worker per chip (none in write-through mode); declared
+  /// last so everything they touch outlives them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace stash::dev

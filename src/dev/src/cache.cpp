@@ -95,48 +95,100 @@ std::uint64_t ReadCache::misses() const {
   return n;
 }
 
+WriteBackBuffer::WriteBackBuffer(std::size_t half_pages)
+    : half_pages_(std::max<std::size_t>(1, half_pages)) {
+  open_.reserve(half_pages_);
+  destaging_.reserve(half_pages_);
+}
+
 bool WriteBackBuffer::put(std::uint64_t lpn, PageRef bits) {
-  if (const auto it = index_.find(lpn); it != index_.end()) {
-    if (it->second->trim) ++pending_writes_;  // tombstone becomes a write
-    it->second->bits = std::move(bits);
-    it->second->trim = false;
+  if (const auto it = open_index_.find(lpn); it != open_index_.end()) {
+    Entry& entry = open_[it->second];
+    entry.bits = std::move(bits);
+    entry.trim = false;
     return true;
   }
-  entries_.push_back(Entry{lpn, std::move(bits), false});
-  index_.emplace(lpn, std::prev(entries_.end()));
-  ++pending_writes_;
+  open_index_.emplace(lpn, open_.size());
+  open_.push_back(Entry{lpn, std::move(bits), false, false});
   return false;
 }
 
 bool WriteBackBuffer::put_trim(std::uint64_t lpn) {
-  if (const auto it = index_.find(lpn); it != index_.end()) {
-    if (!it->second->trim) --pending_writes_;  // write becomes a tombstone
-    it->second->bits = PageRef{};
-    it->second->trim = true;
+  if (const auto it = open_index_.find(lpn); it != open_index_.end()) {
+    Entry& entry = open_[it->second];
+    entry.bits = PageRef{};
+    entry.trim = true;
     return true;
   }
-  entries_.push_back(Entry{lpn, {}, true});
-  index_.emplace(lpn, std::prev(entries_.end()));
+  open_index_.emplace(lpn, open_.size());
+  open_.push_back(Entry{lpn, {}, true, false});
   return false;
 }
 
 const WriteBackBuffer::Entry* WriteBackBuffer::find(std::uint64_t lpn) const {
-  const auto it = index_.find(lpn);
-  return it == index_.end() ? nullptr : &*it->second;
+  if (const auto it = open_index_.find(lpn); it != open_index_.end()) {
+    return &open_[it->second];
+  }
+  const auto it = destaging_index_.find(lpn);
+  return it == destaging_index_.end() ? nullptr : &destaging_[it->second];
 }
 
-void WriteBackBuffer::erase(std::uint64_t lpn) {
-  if (const auto it = index_.find(lpn); it != index_.end()) {
-    if (!it->second->trim) --pending_writes_;
-    entries_.erase(it->second);
-    index_.erase(it);
+const std::vector<WriteBackBuffer::Entry>& WriteBackBuffer::hand_off() {
+  std::vector<Entry> next;
+  next.reserve(half_pages_);
+  for (Entry& entry : destaging_) {
+    if (!entry.programmed && !open_index_.contains(entry.lpn)) {
+      next.push_back(std::move(entry));
+    }
+  }
+  for (Entry& entry : open_) next.push_back(std::move(entry));
+  destaging_ = std::move(next);
+  destaging_index_.clear();
+  for (std::size_t i = 0; i < destaging_.size(); ++i) {
+    destaging_index_.emplace(destaging_[i].lpn, i);
+  }
+  open_.clear();
+  open_index_.clear();
+  return destaging_;
+}
+
+void WriteBackBuffer::retire() {
+  std::erase_if(destaging_, [](const Entry& e) { return e.programmed; });
+  destaging_index_.clear();
+  for (std::size_t i = 0; i < destaging_.size(); ++i) {
+    destaging_index_.emplace(destaging_[i].lpn, i);
   }
 }
 
-std::list<WriteBackBuffer::Entry> WriteBackBuffer::drop_all() {
-  index_.clear();
-  pending_writes_ = 0;
-  return std::exchange(entries_, {});
+bool WriteBackBuffer::needs_destage() const {
+  return !open_.empty() ||
+         std::any_of(destaging_.begin(), destaging_.end(),
+                     [](const Entry& e) { return !e.programmed; });
+}
+
+std::size_t WriteBackBuffer::pending_writes() const {
+  const auto unflushed = [](const Entry& e) { return !e.trim && !e.programmed; };
+  return static_cast<std::size_t>(
+      std::count_if(open_.begin(), open_.end(), unflushed) +
+      std::count_if(destaging_.begin(), destaging_.end(), unflushed));
+}
+
+std::vector<std::uint64_t> WriteBackBuffer::drop_all() {
+  std::vector<std::uint64_t> lost;
+  for (const Entry& entry : destaging_) {
+    if (!entry.trim && !entry.programmed &&
+        !open_index_.contains(entry.lpn)) {
+      lost.push_back(entry.lpn);
+    }
+  }
+  for (const Entry& entry : open_) {
+    if (!entry.trim) lost.push_back(entry.lpn);
+  }
+  open_.clear();
+  open_index_.clear();
+  destaging_.clear();
+  destaging_index_.clear();
+  return lost;
 }
 
 }  // namespace stash::dev

@@ -1,5 +1,10 @@
 #include "stash/dev/device.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <iterator>
 #include <optional>
@@ -53,8 +58,16 @@ struct DevTelemetry {
       reg.histogram("dev.read_latency_ns");
   telemetry::LatencyHistogram& hidden_latency =
       reg.histogram("dev.hidden_latency_ns");
+  // Wall time of one background destage (hand-off to its last program).
   telemetry::LatencyHistogram& flush_latency =
       reg.histogram("dev.flush_latency_ns");
+  // Submission to admission of every write-back write or trim: 0-ish when
+  // the open half had room, a destage's remainder when it was sealed.
+  // Wall-clock, so kept out of DeviceStats and stats_json().
+  telemetry::LatencyHistogram& write_admission_wait =
+      reg.histogram("dev.write_admission_wait_ns");
+  // Pages in the half the chip workers are programming (0 when idle).
+  telemetry::Gauge& destaging_pages = reg.gauge("dev.destaging_pages");
   telemetry::LatencyHistogram& dispatch_batch =
       reg.histogram("dev.dispatch_batch");
 };
@@ -138,6 +151,10 @@ std::optional<Segment> unpack_segment(std::span<const std::uint8_t> raw) {
   return seg;
 }
 
+/// How long a destage handed off together with admitted writes waits for
+/// their burst to seal the open half before it starts anyway.
+constexpr std::chrono::milliseconds kHoldAfterAdmission{5};
+
 /// Uniform config contract: reject an invalid DeviceConfig before any
 /// member (pool, chip array) is built from it.
 const DeviceConfig& validated(const DeviceConfig& config) {
@@ -180,6 +197,7 @@ StashDevice::StashDevice(const DeviceConfig& config,
       // a latency-measured dispatch round.
       arena_(config.geometry.cells_per_page, 4096,
              config.read_cache_pages + config.queue_depth),
+      buffer_(config.write_back_pages / 2),
       cache_(config.read_cache_pages, config.read_cache_shards) {
   chips_.reserve(config_.chips);
   volumes_.reserve(config_.chips);
@@ -190,11 +208,35 @@ StashDevice::StashDevice(const DeviceConfig& config,
     volumes_.push_back(std::make_unique<stego::StegoVolume>(
         *chips_[c], key, stego::StegoConfig{config_.ftl, config_.vthi}));
   }
+  if (config_.write_back_pages == 0) return;
+  destage_.items.resize(config_.chips);
+  destage_.results.resize(config_.chips);
+  // Spawned here, never lazily from a submitter: a thread inherits its
+  // creator's CPU affinity, and a submitter may be a pinned event loop.
+  workers_.reserve(config_.chips);
+  try {
+    for (std::uint32_t c = 0; c < config_.chips; ++c) {
+      workers_.emplace_back([this, c] { destage_worker(c); });
+    }
+  } catch (...) {
+    stop_workers();  // never destroy a joinable thread
+    throw;
+  }
 }
 
 StashDevice::~StashDevice() {
   drain();
   (void)flush();  // best effort; a dark device keeps its volatile loss
+  stop_workers();
+}
+
+void StashDevice::stop_workers() noexcept {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 std::uint64_t StashDevice::logical_pages() const noexcept {
@@ -208,9 +250,9 @@ std::uint32_t StashDevice::page_bits() const noexcept {
 // ---- Tracing ---------------------------------------------------------------
 
 std::uint64_t StashDevice::sim_now() const noexcept {
-  // Summed per-chip ledger time.  Chips only advance inside dispatch
-  // rounds, so reads at serial points (under mu_) are exact and
-  // thread-count independent — the virtual trace clock.
+  // Summed per-chip ledger time.  With no destage running, chips only
+  // advance inside dispatch rounds, so reads at serial points (under mu_)
+  // are exact and thread-count independent — the virtual trace clock.
   std::uint64_t ns = 0;
   for (const auto& chip : chips_) ns += chip->time_ns();
   return ns;
@@ -220,6 +262,17 @@ std::uint64_t StashDevice::trace_now() const noexcept {
 #ifndef STASH_TELEMETRY_DISABLED
   if (trace::Tracer::global().clock_mode() == trace::ClockMode::kVirtual) {
     return sim_now();
+  }
+  return trace::detail::wall_now_ns();
+#else
+  return 0;
+#endif
+}
+
+std::uint64_t StashDevice::staging_now() const noexcept {
+#ifndef STASH_TELEMETRY_DISABLED
+  if (trace::Tracer::global().clock_mode() == trace::ClockMode::kVirtual) {
+    return 0;
   }
   return trace::detail::wall_now_ns();
 #else
@@ -323,109 +376,86 @@ std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn,
 
 std::future<Status> StashDevice::submit_write(std::uint64_t lpn,
                                               std::vector<std::uint8_t> bits) {
-  std::promise<Status> promise;
-  auto fut = promise.get_future();
+  return submit_update(trace::Op::kWrite, lpn, std::move(bits));
+}
+
+std::future<Status> StashDevice::submit_trim(std::uint64_t lpn) {
+  return submit_update(trace::Op::kTrim, lpn, {});
+}
+
+std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
+                                               std::vector<std::uint8_t> bits) {
+  PendingWrite write;
+  write.lpn = lpn;
+  write.trim = op == trace::Op::kTrim;
+  write.start = std::chrono::steady_clock::now();
+  auto fut = write.promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
   ++tick_;
-  counters_.writes.inc();
-  auto& wtel = dev_telemetry();
-  wtel.writes.inc();
-  wtel.queue_depth.set(static_cast<double>(queue_.size()));
-  // Writes execute inline (no queue wait): the trace root, service start
-  // and enqueue stamp coincide.
-  const trace::TraceContext root = new_request_trace(trace::Op::kWrite, lpn);
-  const std::uint64_t t0 = root.active() ? trace_now() : 0;
+  auto& tel = dev_telemetry();
+  if (write.trim) {
+    counters_.trims.inc();
+    tel.trims.inc();
+  } else {
+    counters_.writes.inc();
+    tel.writes.inc();
+  }
+  tel.queue_depth.set(static_cast<double>(queue_.size()));
+  write.trace = new_request_trace(op, lpn);
   Status st = Status::ok();
-  {
-    const trace::ContextGuard service_guard(
-        service_ctx(root, trace::Op::kWrite, lpn));
-    if (lpn >= logical_pages()) {
-      st = Status{ErrorCode::kOutOfBounds, "lpn beyond device capacity"};
-    } else if (bits.size() != page_bits()) {
-      st = Status{ErrorCode::kInvalidArgument, "write size != page size"};
+  if (lpn >= logical_pages()) {
+    st = Status{ErrorCode::kOutOfBounds, "lpn beyond device capacity"};
+  } else if (!write.trim && bits.size() != page_bits()) {
+    st = Status{ErrorCode::kInvalidArgument, "write size != page size"};
+  }
+  const bool write_back = config_.write_back_pages > 0;
+  if (st.is_ok() && write_back) {
+    cache_.invalidate(lpn);
+    // Adopt, not copy: the staged PageRef feeds buffer-hit readers and the
+    // destage from the same storage.
+    if (!write.trim) write.bits = PageRef::adopt(std::move(bits));
+    if (write.trace.active()) write.enqueue_now = staging_now();
+    if (buffer_.sealed()) {
+      // The open half waits on the running destage; that destage's
+      // completion admits this write, in submission order.
+      pending_writes_.push_back(std::move(write));
     } else {
-      cache_.invalidate(lpn);
-      if (config_.write_back_pages == 0) {
-        // Write-through: durable before the future resolves.
-        st = volumes_[chip_of(lpn)]->write_public(local_lpn(lpn),
-                                                  std::move(bits));
-      } else {
-        {
-          trace::ScopedSpan buffer_span(trace::Stage::kDevBuffer,
-                                        trace::Op::kWrite, lpn,
-                                        bits.size() / 8);
-          // Adopt, not copy: the staged PageRef feeds buffer-hit readers
-          // and the flush path from the same storage.
-          if (buffer_.put(lpn, PageRef::adopt(std::move(bits)))) {
-            counters_.coalesced_writes.inc();
-            wtel.coalesced_writes.inc();
-          }
-        }
-        wtel.buffered_pages.set(static_cast<double>(buffer_.size()));
-        wtel.acked_unflushed.set(
-            static_cast<double>(buffer_.pending_writes()));
-        if (buffer_.size() >= config_.write_back_pages) {
-          // Backpressure flush.  The staged data survives a failure (it stays
-          // buffered); the triggering writer carries the health report.
-          st = flush_locked();
+      admit_locked(write);
+      if (buffer_.sealed()) {
+        if (!destage_active_) {
+          hand_off_locked();
+        } else {
+          release_held_destage_locked();  // the admitted burst is over
         }
       }
     }
-  }
-  if (root.active()) {
-    emit_request_trace(root, t0, trace::Op::kWrite, lpn, t0, trace_now(),
-                       static_cast<std::uint8_t>(st.code()));
+    set_buffer_gauges();
+  } else {
+    // An error, or write-through (durable before the future resolves):
+    // executes inline, so the trace root, service start and enqueue stamp
+    // coincide.
+    const auto now = [&] { return write_back ? staging_now() : trace_now(); };
+    const std::uint64_t t0 = write.trace.active() ? now() : 0;
+    if (st.is_ok()) {
+      const trace::ContextGuard service_guard(service_ctx(write.trace, op, lpn));
+      cache_.invalidate(lpn);
+      st = write.trim ? volumes_[chip_of(lpn)]->ftl().trim(local_lpn(lpn))
+                      : volumes_[chip_of(lpn)]->write_public(local_lpn(lpn),
+                                                             bits);
+    }
+    if (write.trace.active()) {
+      emit_request_trace(write.trace, t0, op, lpn, t0, now(),
+                         static_cast<std::uint8_t>(st.code()));
+    }
+    write.promise.set_value(st);
   }
   // A queued read may be past its deadline now that the tick advanced.
   if (!queue_.empty() &&
       tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
     counters_.deadline_dispatches.inc();
-    dev_telemetry().deadline_dispatches.inc();
+    tel.deadline_dispatches.inc();
     dispatch(lock);
   }
-  promise.set_value(st);
-  return fut;
-}
-
-std::future<Status> StashDevice::submit_trim(std::uint64_t lpn) {
-  std::promise<Status> promise;
-  auto fut = promise.get_future();
-  std::unique_lock<std::mutex> lock(mu_);
-  ++tick_;
-  counters_.trims.inc();
-  auto& ttel = dev_telemetry();
-  ttel.trims.inc();
-  ttel.queue_depth.set(static_cast<double>(queue_.size()));
-  const trace::TraceContext root = new_request_trace(trace::Op::kTrim, lpn);
-  const std::uint64_t t0 = root.active() ? trace_now() : 0;
-  Status st = Status::ok();
-  {
-    const trace::ContextGuard service_guard(
-        service_ctx(root, trace::Op::kTrim, lpn));
-    if (lpn >= logical_pages()) {
-      st = Status{ErrorCode::kOutOfBounds, "lpn beyond device capacity"};
-    } else {
-      cache_.invalidate(lpn);
-      if (config_.write_back_pages == 0) {
-        st = volumes_[chip_of(lpn)]->ftl().trim(local_lpn(lpn));
-      } else {
-        {
-          const trace::ScopedSpan buffer_span(trace::Stage::kDevBuffer,
-                                              trace::Op::kTrim, lpn);
-          buffer_.put_trim(lpn);
-        }
-        ttel.buffered_pages.set(static_cast<double>(buffer_.size()));
-        ttel.acked_unflushed.set(
-            static_cast<double>(buffer_.pending_writes()));
-        if (buffer_.size() >= config_.write_back_pages) st = flush_locked();
-      }
-    }
-  }
-  if (root.active()) {
-    emit_request_trace(root, t0, trace::Op::kTrim, lpn, t0, trace_now(),
-                       static_cast<std::uint8_t>(st.code()));
-  }
-  promise.set_value(st);
   return fut;
 }
 
@@ -464,7 +494,15 @@ std::future<Status> StashDevice::submit_gc() {
 // ---- Dispatch --------------------------------------------------------------
 
 void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
-  (void)lock;  // held throughout: dispatch is the serial scheduler heart
+  // Held throughout (dispatch is the serial scheduler heart), except that
+  // hidden-volume work and GC, which touch the FTL and StegoVolume beyond
+  // the read path, first let a running destage finish.  Reads overlap it.
+  if (destage_active_ &&
+      std::any_of(queue_.begin(), queue_.end(), [](const Request& req) {
+        return req.kind != OpKind::kRead;
+      })) {
+    wait_destage_idle(lock);
+  }
   if (queue_.empty()) return;
   counters_.dispatches.inc();
   auto& tel = dev_telemetry();
@@ -611,8 +649,8 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
     emit_request_trace(req.trace, req.enqueue_now, trace::Op::kRead, req.lpn,
                        t0, trace_now(), code);
   };
-  // Resolve what never needs flash: bounds errors, write-back buffer hits,
-  // cache hits.  Collect the rest as unique (chip, local-lpn) misses.
+  // Resolve what never needs flash: bounds errors, staged-write hits, cache
+  // hits.  Collect the rest as unique (chip, local-lpn) misses.
   // Misses are capped at batch_pages per round, so repeat-lpn coalescing is
   // a linear scan and the common one-requester case allocates nothing: the
   // first requester rides in the Miss, repeats land in one shared side list.
@@ -632,17 +670,26 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
                    static_cast<std::uint8_t>(ErrorCode::kOutOfBounds));
       continue;
     }
-    if (const WriteBackBuffer::Entry* staged = buffer_.find(lpn)) {
+    // Newest staged version first: a write pending admission (newer than
+    // the sealed open half it waits on), then the open half, then the
+    // destaging half.
+    const auto pending =
+        std::find_if(pending_writes_.rbegin(), pending_writes_.rend(),
+                     [lpn](const PendingWrite& w) { return w.lpn == lpn; });
+    const WriteBackBuffer::Entry* staged =
+        pending == pending_writes_.rend() ? buffer_.find(lpn) : nullptr;
+    if (pending != pending_writes_.rend() || staged != nullptr) {
       counters_.buffer_hits.inc();
       tel.buffer_hits.inc();
       std::uint8_t code = 0;
-      if (staged->trim) {
+      if (staged ? staged->trim : pending->trim) {
         code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
         reads[r].value_promise.set_value(
             Status{ErrorCode::kNotFound, "logical page trimmed"});
       } else {
         // Refcount bump on the staged page, not a copy.
-        reads[r].value_promise.set_value(Result<PageRef>{staged->bits});
+        reads[r].value_promise.set_value(
+            Result<PageRef>{staged ? staged->bits : pending->bits});
       }
       counters_.reads.inc();
       tel.reads.inc();
@@ -917,64 +964,217 @@ Status StashDevice::execute_gc() {
   return util::first_error(results);
 }
 
-// ---- Durability ------------------------------------------------------------
+// ---- Write-back destage ----------------------------------------------------
 
-Status StashDevice::flush_locked() {
-  if (buffer_.empty()) return Status::ok();
+void StashDevice::admit_locked(PendingWrite& write) {
   auto& tel = dev_telemetry();
-  counters_.flushes.inc();
-  tel.flushes.inc();
-  const telemetry::ScopedTimer timer(tel.flush_latency);
-  // Child of whichever context triggered the drain (a backpressured write's
-  // service span, or nothing for a bare flush()).  Virtual duration = sum
-  // of the per-page FTL/NAND work underneath.
-  trace::ScopedSpan flush_span(trace::Stage::kDevFlush, trace::Op::kFlush, 0,
-                               buffer_.size());
-
-  // Snapshot per chip in staging order; chips drain concurrently (each
-  // chip's volume is independent), entries within a chip in order.
-  struct Item {
-    const WriteBackBuffer::Entry* entry = nullptr;
-    Status status;
-  };
-  std::vector<std::vector<Item>> per_chip(volumes_.size());
-  for (const WriteBackBuffer::Entry& entry : buffer_.entries()) {
-    per_chip[chip_of(entry.lpn)].push_back(Item{&entry, Status::ok()});
-  }
-  pool_.parallel_for(per_chip.size(), [&](std::size_t c) {
-    for (Item& item : per_chip[c]) {
-      const std::uint64_t local = local_lpn(item.entry->lpn);
-      item.status = item.entry->trim
-                        ? volumes_[c]->ftl().trim(local)
-                        : volumes_[c]->write_public(local,
-                                                    item.entry->bits.span());
+  const trace::Op op = write.trim ? trace::Op::kTrim : trace::Op::kWrite;
+  const std::uint64_t t0 = write.trace.active() ? staging_now() : 0;
+  {
+    const trace::ContextGuard service_guard(
+        service_ctx(write.trace, op, write.lpn));
+    const trace::ScopedSpan buffer_span(trace::Stage::kDevBuffer, op,
+                                        write.lpn, write.bits.size() / 8);
+    if (write.trim) {
+      (void)buffer_.put_trim(write.lpn);
+    } else if (buffer_.put(write.lpn, std::move(write.bits))) {
+      counters_.coalesced_writes.inc();
+      tel.coalesced_writes.inc();
     }
-  });
+  }
+  tel.write_admission_wait.record(elapsed_ns(write.start));
+  // queue_wait = the wait for admission, service = staging.
+  if (write.trace.active()) {
+    emit_request_trace(write.trace, write.enqueue_now, op, write.lpn, t0,
+                       staging_now(), 0);
+  }
+  write.promise.set_value(Status::ok());
+}
 
+void StashDevice::hand_off_locked() {
+  const std::vector<WriteBackBuffer::Entry>& entries = buffer_.hand_off();
+  counters_.flushes.inc();
+  dev_telemetry().flushes.inc();
+  for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
+    destage_.items[c].clear();
+  }
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    destage_.items[chip_of(entries[i].lpn)].push_back(i);
+  }
+  for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
+    destage_.results[c].assign(destage_.items[c].size(), Status::ok());
+  }
+  destage_.chips_left = static_cast<std::uint32_t>(volumes_.size());
+  destage_.start = std::chrono::steady_clock::now();
+  // Its own trace root (it serves no single request), sampled on its own
+  // sequence; the chip workers' FTL/NAND spans hang under it.
+  const std::uint64_t seq = destage_seq_++;
+  destage_.trace = {};
+  if (trace::enabled() && trace::Tracer::global().should_sample(seq)) {
+    destage_.trace = trace::make_root((std::uint64_t{3} << 56) | seq,
+                                      trace::Stage::kDevFlush,
+                                      trace::Op::kFlush, 0);
+    destage_.trace_t0 = staging_now();
+  }
+  destage_.held = false;
+  ++destage_.gen;
+  destage_active_ = true;
+  work_cv_.notify_all();
+}
+
+void StashDevice::destage_worker(std::uint32_t chip) {
+#ifdef __linux__
+  // Destage is throughput work.  SCHED_BATCH keeps its full CPU share (so
+  // the per-chip workers spread over CPUs like any thread) but marks it
+  // non-interactive: a waking submitter or event loop gets a shared CPU
+  // first, the way a drive's background programs yield to host reads.
+  // Needs no privilege; a failure only leaves the default policy.
+  const sched_param batch{};
+  (void)pthread_setschedparam(pthread_self(), SCHED_BATCH, &batch);
+#endif
+  std::unique_lock<std::mutex> lock(mu_);
+  std::uint64_t seen = 0;  // the generation at spawn: none handed off yet
+  for (;;) {
+    work_cv_.wait(lock, [&] { return stopping_ || destage_.gen != seen; });
+    seen = destage_.gen;
+    work_cv_.wait_until(lock, destage_.held_until,
+                        [&] { return stopping_ || !destage_.held; });
+    if (stopping_) return;
+    // Frozen until this destage finishes: the next hand-off (the only
+    // writer of the destaging half and the plan) waits for it.
+    const std::vector<WriteBackBuffer::Entry>& entries = buffer_.destaging();
+    const std::vector<std::size_t>& items = destage_.items[chip];
+    std::vector<Status>& results = destage_.results[chip];
+    const trace::TraceContext root = destage_.trace;
+    lock.unlock();
+    {
+      const trace::ContextGuard guard(root);
+      stego::StegoVolume& volume = *volumes_[chip];
+      for (std::size_t k = 0; k < items.size(); ++k) {
+        const WriteBackBuffer::Entry& entry = entries[items[k]];
+        const std::uint64_t local = local_lpn(entry.lpn);
+        try {
+          results[k] = entry.trim
+                           ? volume.ftl().trim(local)
+                           : volume.write_public(local, entry.bits.span());
+        } catch (const std::exception& e) {
+          // Nothing may escape a thread: the page stays staged and the
+          // next flush() reports it.
+          results[k] = Status{ErrorCode::kProgramFail,
+                              std::string("destage: ") + e.what()};
+        }
+      }
+    }
+    lock.lock();
+    if (--destage_.chips_left == 0) finish_destage_locked();
+  }
+}
+
+void StashDevice::finish_destage_locked() {
+  auto& tel = dev_telemetry();
   Status first = Status::ok();
-  std::vector<std::uint64_t> flushed;
-  for (const auto& chip_items : per_chip) {
-    for (const Item& item : chip_items) {
-      if (item.status.is_ok()) {
-        flushed.push_back(item.entry->lpn);
-        counters_.flushed_pages.inc();
-        tel.flushed_pages.inc();
+  std::uint64_t programmed = 0;
+  for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
+    for (std::size_t k = 0; k < destage_.items[c].size(); ++k) {
+      const Status& st = destage_.results[c][k];
+      if (st.is_ok()) {
+        buffer_.mark_programmed(destage_.items[c][k]);
+        ++programmed;
       } else if (first.is_ok()) {
-        first = item.status;
+        first = st;
       }
     }
   }
-  for (const std::uint64_t lpn : flushed) buffer_.erase(lpn);
+  counters_.flushed_pages.inc(programmed);
+  tel.flushed_pages.inc(programmed);
+  if (destage_error_.is_ok()) destage_error_ = first;
+  tel.flush_latency.record(elapsed_ns(destage_.start));
+  if (destage_.trace.active() && trace::enabled()) {
+    // Virtual duration: the sum of the chip work underneath (resolved at
+    // export); wall duration: hand-off to the last chip finishing.
+    trace::SpanRecord rec;
+    rec.trace_id = destage_.trace.trace_id;
+    rec.span_id = destage_.trace.span_id;
+    rec.stage = trace::Stage::kDevFlush;
+    rec.op = trace::Op::kFlush;
+    rec.bytes = static_cast<std::uint32_t>(buffer_.destaging().size());
+    rec.status = static_cast<std::uint8_t>(first.code());
+    if (trace::Tracer::global().clock_mode() == trace::ClockMode::kWall) {
+      const std::uint64_t end = staging_now();
+      rec.begin_ns = destage_.trace_t0;
+      rec.dur_ns = end > destage_.trace_t0 ? end - destage_.trace_t0 : 0;
+    }
+    trace::Tracer::global().emit(rec);
+  }
+  destage_active_ = false;
+
+  bool admitted = false;
+  if (buffer_.sealed()) {
+    hand_off_locked();
+    while (!pending_writes_.empty() && !buffer_.sealed()) {
+      admit_locked(pending_writes_.front());
+      pending_writes_.pop_front();
+      admitted = true;
+    }
+    // Writes left pending sealed the new open half again: the destage
+    // just handed off admits them.  Otherwise the admitted writers are
+    // about to burst: hold the new destage until that burst seals the
+    // open half (or kHoldAfterAdmission passes), so the burst is served on
+    // otherwise idle CPUs and the destage then runs while they wait.
+    if (admitted && !buffer_.sealed()) {
+      destage_.held = true;
+      destage_.held_until = std::chrono::steady_clock::now() + kHoldAfterAdmission;
+    }
+  }
+  set_buffer_gauges();
+  if (!destage_active_) idle_cv_.notify_all();
+  // Called under mu_ on purpose: set_completion_hook() then guarantees
+  // that no call of the hook it replaced is still running (the server
+  // closes the descriptor its hook writes right after uninstalling it).
+  if (admitted && completion_hook_) completion_hook_();
+}
+
+void StashDevice::release_held_destage_locked() const {
+  if (!destage_.held) return;
+  destage_.held = false;
+  work_cv_.notify_all();
+}
+
+void StashDevice::wait_destage_idle(std::unique_lock<std::mutex>& lock) const {
+  release_held_destage_locked();  // someone waits on it now
+  idle_cv_.wait(lock, [this] { return !destage_active_; });
+}
+
+void StashDevice::set_buffer_gauges() const {
+  auto& tel = dev_telemetry();
   tel.buffered_pages.set(static_cast<double>(buffer_.size()));
+  tel.destaging_pages.set(
+      destage_active_ ? static_cast<double>(buffer_.destaging().size()) : 0.0);
   tel.acked_unflushed.set(static_cast<double>(buffer_.pending_writes()));
-  flush_span.set_status(static_cast<std::uint8_t>(first.code()));
-  flush_span.set_bytes(flushed.size());
-  return first;
+}
+
+void StashDevice::set_completion_hook(std::function<void()> hook) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  completion_hook_ = std::move(hook);
+}
+
+// ---- Durability ------------------------------------------------------------
+
+Status StashDevice::flush_locked(std::unique_lock<std::mutex>& lock) {
+  wait_destage_idle(lock);
+  if (buffer_.needs_destage()) {
+    hand_off_locked();
+    wait_destage_idle(lock);
+  }
+  // Everything programmed is durable now; what failed stays staged.
+  buffer_.retire();
+  set_buffer_gauges();
+  return std::exchange(destage_error_, Status::ok());
 }
 
 Status StashDevice::flush() {
   std::unique_lock<std::mutex> lock(mu_);
-  return flush_locked();
+  return flush_locked(lock);
 }
 
 void StashDevice::drain() {
@@ -1001,14 +1201,31 @@ std::size_t StashDevice::idle_tick() {
 // ---- Fault integration -----------------------------------------------------
 
 void StashDevice::set_fault_injector(nand::FaultInjector* injector) noexcept {
+  std::unique_lock<std::mutex> lock(mu_);
+  wait_destage_idle(lock);
   for (const auto& chip : chips_) chip->set_fault_injector(injector);
+}
+
+stego::StegoVolume& StashDevice::volume(std::uint32_t chip) {
+  std::unique_lock<std::mutex> lock(mu_);
+  wait_destage_idle(lock);
+  return *volumes_.at(chip);
+}
+
+nand::FlashChip& StashDevice::chip(std::uint32_t index) {
+  std::unique_lock<std::mutex> lock(mu_);
+  wait_destage_idle(lock);
+  return *chips_.at(index);
 }
 
 Status StashDevice::power_cycle() {
   std::unique_lock<std::mutex> lock(mu_);
+  // A running destage finishes first (against a dark chip its page ops
+  // fail fast), so what reached flash is settled before the accounting.
+  wait_destage_idle(lock);
   // RAM dies with the power: queued requests, the read cache, and the
-  // write-back buffer are gone.  Acked-unflushed writes become *reported*
-  // losses — the honest contract of a write-back device.
+  // write-back buffer are gone.  Acked writes that never reached flash
+  // become *reported* losses — the honest contract of a write-back device.
   for (Request& req : queue_) {
     const Status lost{ErrorCode::kPowerLoss, "request lost to power cut"};
     if (req.kind == OpKind::kRead || req.kind == OpKind::kLoadHidden) {
@@ -1026,15 +1243,14 @@ Status StashDevice::power_cycle() {
   }
   queue_.clear();
   cache_.clear();
-  for (const WriteBackBuffer::Entry& entry : buffer_.drop_all()) {
-    if (entry.trim) continue;
-    lost_writes_.push_back(entry.lpn);
+  for (const std::uint64_t lpn : buffer_.drop_all()) {
+    lost_writes_.push_back(lpn);
     counters_.lost.inc();
     dev_telemetry().lost_writes.inc();
   }
+  destage_error_ = Status::ok();  // its entries are reported lost instead
   dev_telemetry().queue_depth.set(0.0);
-  dev_telemetry().buffered_pages.set(0.0);
-  dev_telemetry().acked_unflushed.set(0.0);
+  set_buffer_gauges();
   return Status::ok();
 }
 
@@ -1117,7 +1333,8 @@ std::vector<store::Chunk> StashDevice::snapshot_chunks() const {
 }
 
 std::uint64_t StashDevice::state_checksum() const {
-  const std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  wait_destage_idle(lock);
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const store::Chunk& chunk : snapshot_chunks()) {
     h = util::fnv1a({reinterpret_cast<const std::uint8_t*>(chunk.name.data()),
@@ -1135,7 +1352,7 @@ Result<store::SaveInfo> StashDevice::save_snapshot(
   // and every acknowledged write becomes durable in flash before the chips
   // are serialized — a restored snapshot owes nothing to volatile state.
   dispatch(lock);
-  STASH_RETURN_IF_ERROR(flush_locked());
+  STASH_RETURN_IF_ERROR(flush_locked(lock));
   store::SnapshotStore snapshots(dir);
   return snapshots.save(snapshot_config_hash(), snapshot_chunks(), injector);
 }
@@ -1145,6 +1362,7 @@ Status StashDevice::load_snapshot(const std::string& dir) {
   // Resolve anything still queued against the pre-restore state; futures
   // must never dangle across a wholesale state replacement.
   dispatch(lock);
+  wait_destage_idle(lock);
   const store::SnapshotStore snapshots(dir);
   auto loaded = snapshots.load_latest();
   if (!loaded.is_ok()) return loaded.status();
@@ -1217,9 +1435,8 @@ Status StashDevice::apply_snapshot(const store::SnapshotData& snap) {
   // lost_writes().
   cache_.clear();
   (void)buffer_.drop_all();
-  auto& tel = dev_telemetry();
-  tel.buffered_pages.set(0.0);
-  tel.acked_unflushed.set(0.0);
+  destage_error_ = Status::ok();
+  set_buffer_gauges();
   return Status::ok();
 }
 
@@ -1257,6 +1474,7 @@ Result<HiddenInfo> StashDevice::hidden_info() {
   // anything queued first so it describes the committed generation.
   std::unique_lock<std::mutex> lock(mu_);
   dispatch(lock);
+  wait_destage_idle(lock);
   auto raw = load_hidden_raw();
   if (!raw.is_ok()) return raw.status();
 

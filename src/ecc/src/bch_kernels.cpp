@@ -6,6 +6,8 @@
 
 #include "stash/ecc/bch_kernels.hpp"
 
+// Only this TU carries -fopenmp-simd: the shared loops get their pragma here.
+#define STASH_BCH_SIMD _Pragma("omp simd")
 #include "bch_ops.hpp"
 
 namespace stash::ecc::bchk {

@@ -10,6 +10,14 @@
 
 #include "stash/ecc/bch_kernels.hpp"
 
+// Loop annotation.  The SIMD translation unit defines STASH_BCH_SIMD as
+// _Pragma("omp simd") before including this header; anywhere else it
+// expands to nothing, so the reference build (compiled without
+// -fopenmp-simd) never sees an OpenMP pragma it would warn about.
+#ifndef STASH_BCH_SIMD
+#define STASH_BCH_SIMD
+#endif
+
 namespace stash::ecc::bchk::detail {
 
 inline void pack_codeword_impl(const std::uint8_t* bits, std::size_t len,
@@ -31,7 +39,7 @@ inline void pack_codeword_impl(const std::uint8_t* bits, std::size_t len,
   // Every later byte covers eight in-range degrees: bit b of out[k] is the
   // coefficient of degree (nbytes - 1 - k) * 8 + b, i.e. source bit
   // bits[len - 8 * (nbytes - k) + 7 - b].
-#pragma omp simd
+STASH_BCH_SIMD
   for (std::size_t k = 1; k < nbytes; ++k) {
     const std::uint8_t* src = bits + (len - 8 * (nbytes - k));
     std::uint32_t byte = 0;
@@ -55,7 +63,7 @@ inline void syndromes_impl(const DecodeTables& tb, const std::uint8_t* packed,
   // no cross-lane dependency — the whole inner loop is gathers and XORs.
   for (std::size_t bpos = 0; bpos < nbytes; ++bpos) {
     const std::size_t byte = packed[bpos];
-#pragma omp simd
+STASH_BCH_SIMD
     for (int k = 0; k < t; ++k) {
       const std::uint32_t a = out[2 * k];
       out[2 * k] = lo[static_cast<std::size_t>(k) * 256 + (a & 0xffu)] ^
@@ -85,12 +93,12 @@ inline int chien_scan_impl(ChienState& st, std::uint32_t lambda0,
   int found = 0;
   for (std::size_t p0 = 0; p0 < len && found < max_roots; p0 += 8) {
     std::uint32_t acc[8];
-#pragma omp simd
+STASH_BCH_SIMD
     for (int j = 0; j < 8; ++j) acc[j] = lambda0;
     for (int k = 0; k < terms; ++k) {
       std::uint32_t* const e = exp + 8 * k;
       const std::uint32_t s = step8[k];
-#pragma omp simd
+STASH_BCH_SIMD
       for (int j = 0; j < 8; ++j) {
         acc[j] ^= antilog[e[j]];
         // Advance this term's lane to the next block: exponent += the

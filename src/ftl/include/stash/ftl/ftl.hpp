@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <shared_mutex>
 #include <vector>
 
 #include "stash/nand/chip.hpp"
@@ -64,6 +65,14 @@ struct FtlStats {
   }
 };
 
+/// Concurrency: one mutating thread at a time (write, trim, run_gc,
+/// deserialize_state) may run beside any number of readers (read,
+/// read_into, read_batch_into).  Readers hold a shared map lock across
+/// lookup plus chip read; the mutator takes it exclusively only around its
+/// l2p/p2l/valid-count updates, never across a program or an erase.  A
+/// block is erased only after its last remap, so a reader never sees a
+/// mapping into an erased page, and a read miss never waits for a page op
+/// on another block.
 class PageMappedFtl {
  public:
   /// Called just before a valid page is relocated: (old physical address,
@@ -109,8 +118,6 @@ class PageMappedFtl {
   /// the cells written as read_into does.  Follows the util::BatchResult
   /// convention (stash/util/batch.hpp): result i corresponds to lpns[i];
   /// kInvalidArgument for every slot when dests.size() != lpns.size().
-  /// The mapping tables must not be concurrently mutated: do not
-  /// interleave with write()/trim()/run_gc().
   BatchResult<std::size_t> read_batch_into(
       std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
       std::span<const std::span<std::uint8_t>> dests);
@@ -192,6 +199,9 @@ class PageMappedFtl {
   /// Relocate every valid page off `block` without erasing it.
   Status drain_block(std::uint32_t block);
   Status relocate_block(std::uint32_t victim);
+  /// read_into body; the caller holds map_mu_ (shared or exclusive).
+  Result<std::size_t> read_mapped(std::uint64_t lpn,
+                                  std::span<std::uint8_t> dest);
   Status maybe_wear_level();
   [[nodiscard]] std::uint32_t pick_gc_victim() const;
 
@@ -199,6 +209,9 @@ class PageMappedFtl {
   FtlConfig config_;
   std::uint64_t logical_pages_;
 
+  /// Guards l2p_/p2l_/valid_count_ against the mutator while readers look
+  /// up and read (see the class comment).
+  mutable std::shared_mutex map_mu_;
   std::vector<std::uint64_t> l2p_;        // lpn -> phys index (or kUnmapped)
   std::vector<std::uint64_t> p2l_;        // phys index -> lpn (or kUnmapped)
   std::vector<std::uint32_t> valid_count_;  // per block

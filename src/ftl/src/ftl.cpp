@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 
 #include "stash/trace/trace.hpp"
 #include "stash/util/wire.hpp"
@@ -165,11 +166,14 @@ Status PageMappedFtl::drain_block(std::uint32_t block) {
     const PageAddr to = dst.value();
     if (hook_) hook_(PageAddr{block, p}, to, data);
 
-    p2l_[phys] = kUnmapped;
-    --valid_count_[block];
-    l2p_[lpn] = phys_index(to);
-    p2l_[phys_index(to)] = lpn;
-    ++valid_count_[to.block];
+    {
+      const std::unique_lock<std::shared_mutex> lock(map_mu_);
+      p2l_[phys] = kUnmapped;
+      --valid_count_[block];
+      l2p_[lpn] = phys_index(to);
+      p2l_[phys_index(to)] = lpn;
+      ++valid_count_[to.block];
+    }
     counters_.nand_writes.inc();
     counters_.relocations.inc();
     ftl_telemetry().nand_writes.inc();
@@ -197,16 +201,19 @@ Status PageMappedFtl::write(std::uint64_t lpn,
   const PageAddr dst = placed.value();
 
   // Invalidate the old copy after the new one is durable.
-  if (l2p_[lpn] != kUnmapped) {
-    const std::uint64_t old = l2p_[lpn];
-    p2l_[old] = kUnmapped;
-    const auto old_block =
-        static_cast<std::uint32_t>(old / chip_->geometry().pages_per_block);
-    --valid_count_[old_block];
+  {
+    const std::unique_lock<std::shared_mutex> lock(map_mu_);
+    if (l2p_[lpn] != kUnmapped) {
+      const std::uint64_t old = l2p_[lpn];
+      p2l_[old] = kUnmapped;
+      const auto old_block =
+          static_cast<std::uint32_t>(old / chip_->geometry().pages_per_block);
+      --valid_count_[old_block];
+    }
+    l2p_[lpn] = phys_index(dst);
+    p2l_[phys_index(dst)] = lpn;
+    ++valid_count_[dst.block];
   }
-  l2p_[lpn] = phys_index(dst);
-  p2l_[phys_index(dst)] = lpn;
-  ++valid_count_[dst.block];
   counters_.host_writes.inc();
   counters_.nand_writes.inc();
   auto& tel = ftl_telemetry();
@@ -222,6 +229,7 @@ Result<std::vector<std::uint8_t>> PageMappedFtl::read(std::uint64_t lpn) {
   if (lpn >= logical_pages_) {
     return Status{ErrorCode::kOutOfBounds, "lpn beyond logical capacity"};
   }
+  const std::shared_lock<std::shared_mutex> lock(map_mu_);
   if (l2p_[lpn] == kUnmapped) {
     return Status{ErrorCode::kNotFound, "logical page not written"};
   }
@@ -234,6 +242,12 @@ Result<std::vector<std::uint8_t>> PageMappedFtl::read(std::uint64_t lpn) {
 
 Result<std::size_t> PageMappedFtl::read_into(std::uint64_t lpn,
                                              std::span<std::uint8_t> dest) {
+  const std::shared_lock<std::shared_mutex> lock(map_mu_);
+  return read_mapped(lpn, dest);
+}
+
+Result<std::size_t> PageMappedFtl::read_mapped(std::uint64_t lpn,
+                                               std::span<std::uint8_t> dest) {
   if (lpn >= logical_pages_) {
     return Status{ErrorCode::kOutOfBounds, "lpn beyond logical capacity"};
   }
@@ -256,6 +270,10 @@ BatchResult<std::size_t> PageMappedFtl::read_batch_into(
         Status{ErrorCode::kInvalidArgument, "one destination per lpn"});
   }
   const auto& geom = chip_->geometry();
+  // One shared hold across grouping and every chip read: the pool threads
+  // read under the caller's hold, and no mapping they looked up can be
+  // remapped (let alone its block erased) until the batch is done.
+  const std::shared_lock<std::shared_mutex> lock(map_mu_);
   // Group request indices by the physical block backing each lpn
   // (first-appearance order); unmapped/out-of-range lpns resolve inline.
   // Dispatch batches are small (the device caps them at batch_pages), so a
@@ -268,7 +286,7 @@ BatchResult<std::size_t> PageMappedFtl::read_batch_into(
   group_block.reserve(lpns.size());
   for (std::size_t i = 0; i < lpns.size(); ++i) {
     if (lpns[i] >= logical_pages_ || l2p_[lpns[i]] == kUnmapped) {
-      slots[i].emplace(read_into(lpns[i], dests[i]));
+      slots[i].emplace(read_mapped(lpns[i], dests[i]));
       continue;
     }
     const auto block =
@@ -286,7 +304,7 @@ BatchResult<std::size_t> PageMappedFtl::read_batch_into(
                            group_block[g],
                            groups[g].size() * (page_bits() / 8));
     for (const std::size_t i : groups[g]) {
-      slots[i].emplace(read_into(lpns[i], dests[i]));
+      slots[i].emplace(read_mapped(lpns[i], dests[i]));
     }
   });
   BatchResult<std::size_t> out;
@@ -319,6 +337,7 @@ Status PageMappedFtl::trim(std::uint64_t lpn) {
   if (lpn >= logical_pages_) {
     return {ErrorCode::kOutOfBounds, "lpn beyond logical capacity"};
   }
+  const std::unique_lock<std::shared_mutex> lock(map_mu_);
   if (l2p_[lpn] != kUnmapped) {
     const std::uint64_t old = l2p_[lpn];
     p2l_[old] = kUnmapped;
@@ -449,6 +468,7 @@ Status PageMappedFtl::maybe_wear_level() {
 // ---- Persistence -----------------------------------------------------------
 
 void PageMappedFtl::serialize_state(std::vector<std::uint8_t>& out) const {
+  const std::shared_lock<std::shared_mutex> lock(map_mu_);
   util::ByteWriter w(out);
   w.u64(logical_pages_);
   for (const std::uint64_t p : l2p_) w.u64(p);
@@ -529,6 +549,7 @@ Status PageMappedFtl::deserialize_state(std::span<const std::uint8_t> bytes) {
   }
   STASH_RETURN_IF_ERROR(r.expect_exhausted());
 
+  const std::unique_lock<std::shared_mutex> lock(map_mu_);
   l2p_ = std::move(l2p);
   p2l_ = std::move(p2l);
   valid_count_ = std::move(valid);

@@ -280,11 +280,11 @@ class FlashChip {
     return locks_[block % kLockStripes];
   }
   void charge(double us, double uj) noexcept;
-  /// Fault injectors carry chip-wide mutable state (operation counters,
-  /// schedules), so every consultation is serialized on a dedicated lock
-  /// (the stripe array's extra slot).  Note that fault *decisions* keyed on
-  /// global op indices are only reproducible under a deterministic
-  /// chip-wide op order — drive fault-injected chips from one shard.
+  /// Fault injectors carry mutable state (operation counters, schedules)
+  /// and may be shared by several chips, so every consultation is
+  /// serialized on one process-wide lock.  Note that fault *decisions*
+  /// keyed on global op indices are only reproducible under a deterministic
+  /// op order across every chip sharing the injector.
   FaultDecision consult_fault(FaultOp op, std::uint32_t block,
                               std::uint32_t page);
 

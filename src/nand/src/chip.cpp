@@ -14,6 +14,14 @@
 namespace stash::nand {
 namespace {
 
+/// Serializes every fault-injector consultation in the process: one
+/// injector is commonly attached to all chips of a device, whose chips run
+/// concurrently (StashDevice destages them in parallel).
+std::mutex& fault_mutex() {
+  static std::mutex mu;
+  return mu;
+}
+
 /// Trace span address for a page-level op: (block << 32) | page.
 constexpr std::uint64_t span_key(std::uint32_t block,
                                  std::uint32_t page) noexcept {
@@ -78,7 +86,7 @@ FlashChip::FlashChip(const Geometry& geometry, const NoiseModel& noise,
       costs_(costs),
       seed_(serial_seed),
       blocks_(geometry.blocks),
-      locks_(std::make_unique<std::mutex[]>(kLockStripes + 1)),
+      locks_(std::make_unique<std::mutex[]>(kLockStripes)),
       ledger_(std::make_unique<AtomicLedger>()) {
   if (util::Status valid = noise.validate(); !valid.is_ok()) {
     throw std::invalid_argument(valid.to_string());
@@ -117,7 +125,7 @@ CostLedger FlashChip::ledger() const noexcept {
 
 FaultDecision FlashChip::consult_fault(FaultOp op, std::uint32_t block,
                                        std::uint32_t page) {
-  const std::lock_guard<std::mutex> lock(locks_[kLockStripes]);
+  const std::lock_guard<std::mutex> lock(fault_mutex());
   return fault_->on_operation(op, block, page);
 }
 
@@ -460,7 +468,7 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
   ledger_->reads.fetch_add(1, std::memory_order_relaxed);
   chip_telemetry().reads.inc();
   if (fault_) {
-    const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
+    const std::lock_guard<std::mutex> fault_guard(fault_mutex());
     fault_->corrupt_read(block, page, {out.data(), cells}, vref);
   }
   return cells;
@@ -496,7 +504,7 @@ Status FlashChip::probe_voltages_into(std::uint32_t block, std::uint32_t page,
   chip_telemetry().reads.inc();
   chip_telemetry().probes.inc();
   if (fault_) {
-    const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
+    const std::lock_guard<std::mutex> fault_guard(fault_mutex());
     fault_->corrupt_probe(block, page, {out.data(), out.size()});
   }
   return Status::ok();

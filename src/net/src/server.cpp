@@ -626,10 +626,8 @@ struct Server::Impl {
       ::close(epoll_fd);
       epoll_fd = -1;
     }
-    if (wake_fd >= 0) {
-      ::close(wake_fd);
-      wake_fd = -1;
-    }
+    // wake_fd stays open: stop() and the device's completion hook may
+    // still write it.  stop() closes it once both are done.
     live.store(false, std::memory_order_release);
   }
 };
@@ -693,6 +691,13 @@ Status Server::start() {
   im.listen_fd = fd;
   im.epoll_fd = epfd;
   im.wake_fd = wfd;
+  // A destage that admits pending writes makes their futures ready off the
+  // reactor thread; wake the reactor instead of letting them sit until the
+  // next poll timeout.
+  im.device.set_completion_hook([wfd] {
+    const std::uint64_t token = 1;
+    (void)!::write(wfd, &token, sizeof(token));
+  });
   im.stop_requested.store(false, std::memory_order_release);
   im.live.store(true, std::memory_order_release);
   im.reactor = std::thread([this] { impl_->run(); });
@@ -703,11 +708,14 @@ void Server::stop() {
   Impl& im = *impl_;
   if (!im.reactor.joinable()) return;
   im.stop_requested.store(true, std::memory_order_release);
-  if (im.wake_fd >= 0) {
-    const std::uint64_t token = 1;
-    (void)!::write(im.wake_fd, &token, sizeof(token));
-  }
+  const std::uint64_t token = 1;
+  (void)!::write(im.wake_fd, &token, sizeof(token));
   im.reactor.join();
+  // Only now is no one left to write wake_fd: the reactor is gone and,
+  // once the hook is uninstalled, so is the device's completion path.
+  im.device.set_completion_hook(nullptr);
+  ::close(im.wake_fd);
+  im.wake_fd = -1;
 }
 
 bool Server::running() const noexcept {

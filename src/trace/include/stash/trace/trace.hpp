@@ -47,7 +47,7 @@ enum class Stage : std::uint8_t {
   kFtlService,          // request root child: dispatch pickup -> completion
   kDevCache,            // read-cache / write-buffer consultation
   kDevBuffer,           // write-back buffer admission
-  kDevFlush,            // write-back flush (sync or backpressure)
+  kDevFlush,            // write-back destage (its own root)
   kDevHidden,           // hidden-volume store/load machinery
   kFtlReadBatch,        // PageMappedFtl::read_batch_into per-block group
   kFtlWrite,            // PageMappedFtl::write

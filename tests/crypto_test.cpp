@@ -59,6 +59,17 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, EmptySpanAfterAPartialBlockIsANoOp) {
+  // A default-constructed span has a null data(); feeding it while a
+  // partial block is buffered must not hand that null to memcpy (UBSan
+  // flags even a zero-byte copy) nor change the digest.
+  const std::string msg = "abc";
+  Sha256 h;
+  h.update(msg);
+  h.update(std::span<const std::uint8_t>{});
+  EXPECT_EQ(h.finish(), Sha256::hash(msg));
+}
+
 TEST(Sha256, AvalancheOnSingleBitFlip) {
   std::vector<std::uint8_t> msg(64, 0xaa);
   const auto base = Sha256::hash(msg);

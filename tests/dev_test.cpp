@@ -3,15 +3,21 @@
 // semantics, the uniform config-validation contract, batch-API convention,
 // thread-count determinism, device-level hidden-volume sharding, and the
 // power-cut durability battery (flush-acknowledged data survives a cut at
-// every operation index; unflushed data is reported lost, never corrupted).
+// every operation index; unflushed data is reported lost, never corrupted),
+// and the background destage contract.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -222,16 +228,32 @@ TEST(DevIo, RewritesCoalesceInTheBuffer) {
 }
 
 TEST(DevIo, BufferCapacityTriggersBackpressureFlush) {
+  // write_back_pages = 4 is two halves of 2: the second write seals the
+  // open half and, nothing being in flight, hands it to the background
+  // destage before the write returns.
   DeviceConfig config = tiny_config();
   config.write_back_pages = 4;
   StashDevice dev(config, test_key());
+  const auto programs_before = dev.ledger().programs;
   for (std::uint64_t lpn = 0; lpn < 4; ++lpn) {
     ASSERT_TRUE(dev.write(lpn, page_pattern(dev.page_bits(), 40 + lpn))
                     .is_ok());
+    if (lpn == 1) {
+      EXPECT_EQ(dev.stats_snapshot().flushes, 1u);
+    }
   }
+  ASSERT_TRUE(dev.flush().is_ok());
   const auto stats = dev.stats_snapshot();
-  EXPECT_GE(stats.flushes, 1u);
+  // Both halves destaged (the second sealed at the bound too), each page
+  // programmed exactly once.
+  EXPECT_EQ(stats.flushes, 2u);
   EXPECT_GE(stats.flushed_pages, 4u);
+  EXPECT_EQ(dev.ledger().programs, programs_before + 4);
+  for (std::uint64_t lpn = 0; lpn < 4; ++lpn) {
+    auto r = dev.read(lpn);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_TRUE(matches(r.value(), page_pattern(dev.page_bits(), 40 + lpn)));
+  }
 }
 
 // ---- Read cache -----------------------------------------------------------
@@ -854,6 +876,237 @@ TEST(DevPowerCut, CutWithNonEmptyQueueResolvesEveryKindAndKeepsDurableData) {
         << "lpn=" << lpn;
     EXPECT_FALSE(matches(r.value(), page_pattern(dev.page_bits(), 300 + lpn)))
         << "lpn=" << lpn << " lost write became durable";
+  }
+}
+
+// ---- Background destage ---------------------------------------------------
+
+/// Holds every page program at the chip until open() — a destage that
+/// stays in flight for as long as a test needs it to.
+class ProgramGate final : public nand::FaultInjector {
+ public:
+  nand::FaultDecision on_operation(nand::FaultOp op, std::uint32_t,
+                                   std::uint32_t) override {
+    if (op == nand::FaultOp::kProgram) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return {};
+  }
+  /// Block until a program is being held.
+  void wait_until_holding() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_ > 0; });
+  }
+  void open() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t held_ = 0;
+  bool open_ = false;
+};
+
+/// write_back_pages 4 = halves of 2.
+DeviceConfig destage_config() {
+  DeviceConfig config = tiny_config();
+  config.write_back_pages = 4;
+  return config;
+}
+
+std::vector<std::uint8_t> version(const StashDevice& dev, std::uint64_t lpn,
+                                  std::uint64_t v) {
+  return page_pattern(dev.page_bits(), 5000 + 100 * v + lpn);
+}
+
+/// Writes 0 and 1 seal the first half; its destage holds at its first
+/// program.
+void start_held_destage(StashDevice& dev, ProgramGate& gate) {
+  dev.set_fault_injector(&gate);
+  for (std::uint64_t lpn = 0; lpn < 2; ++lpn) {
+    // Returns while the destage it started runs.
+    ASSERT_TRUE(dev.write(lpn, version(dev, lpn, 1)).is_ok());
+  }
+  gate.wait_until_holding();
+}
+
+bool ready(const std::future<util::Status>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+TEST(DevDestage, WritePastTheBoundStaysPendingUntilTheDestageCompletes) {
+  ProgramGate gate;
+  StashDevice dev(destage_config(), test_key());
+  start_held_destage(dev, gate);
+#ifndef STASH_TELEMETRY_DISABLED
+  EXPECT_EQ(dev.stats_snapshot().flushes, 1u);
+#endif
+
+  // The next half fills and seals without waiting...
+  auto w2 = dev.submit_write(2, version(dev, 2, 1));
+  auto w3 = dev.submit_write(3, version(dev, 3, 1));
+  ASSERT_TRUE(ready(w2) && ready(w3));
+  EXPECT_TRUE(w2.get().is_ok());
+  EXPECT_TRUE(w3.get().is_ok());
+  // ...and a write or trim past the bound returns at once, pending.
+  auto w4 = dev.submit_write(4, version(dev, 4, 1));
+  auto t5 = dev.submit_trim(5);
+  EXPECT_FALSE(ready(w4));
+  EXPECT_FALSE(ready(t5));
+  EXPECT_EQ(dev.stats_snapshot().flushed_pages, 0u);
+
+  gate.open();
+  EXPECT_TRUE(w4.get().is_ok());
+  EXPECT_TRUE(t5.get().is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+  EXPECT_EQ(dev.ledger().programs, 5u);
+  for (std::uint64_t lpn = 0; lpn < 5; ++lpn) {
+    auto r = dev.read(lpn);
+    ASSERT_TRUE(r.is_ok()) << "lpn=" << lpn;
+    EXPECT_TRUE(matches(r.value(), version(dev, lpn, 1))) << "lpn=" << lpn;
+  }
+  EXPECT_EQ(dev.read(5).status().code(), ErrorCode::kNotFound);
+  dev.set_fault_injector(nullptr);
+}
+
+TEST(DevDestage, ReadsServeTheDestagingHalfAndPendingWrites) {
+  ProgramGate gate;
+  StashDevice dev(destage_config(), test_key());
+  start_held_destage(dev, gate);
+  ASSERT_TRUE(dev.write(2, version(dev, 2, 1)).is_ok());
+  ASSERT_TRUE(dev.write(3, version(dev, 3, 1)).is_ok());  // seals
+  auto w1 = dev.submit_write(1, version(dev, 1, 2));      // pending rewrite
+  auto w4 = dev.submit_write(4, version(dev, 4, 1));      // pending
+  ASSERT_FALSE(ready(w1));
+
+  const auto flash_reads = dev.ledger().reads;
+  const std::uint64_t hits_before = dev.stats_snapshot().buffer_hits;
+  const auto exact = [&](std::uint64_t lpn, std::uint64_t v) {
+    auto r = dev.read(lpn);
+    ASSERT_TRUE(r.is_ok()) << "lpn=" << lpn;
+    EXPECT_EQ(r.value().to_vector(), version(dev, lpn, v)) << "lpn=" << lpn;
+  };
+  exact(0, 1);  // destaging half
+  exact(1, 2);  // a pending write is newer than the destaging half
+  exact(2, 1);  // sealed open half
+  exact(4, 1);  // pending write
+  EXPECT_EQ(dev.ledger().reads, flash_reads);  // never touched flash
+#ifndef STASH_TELEMETRY_DISABLED
+  EXPECT_EQ(dev.stats_snapshot().buffer_hits, hits_before + 4);
+#endif
+
+  gate.open();
+  EXPECT_TRUE(w1.get().is_ok());
+  EXPECT_TRUE(w4.get().is_ok());
+  exact(1, 2);  // admitted into the open half
+  ASSERT_TRUE(dev.flush().is_ok());
+  auto r = dev.read(1);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(matches(r.value(), version(dev, 1, 2)));
+  dev.set_fault_injector(nullptr);
+}
+
+TEST(DevDestage, FlushWaitsForTheInFlightDestage) {
+  ProgramGate gate;
+  StashDevice dev(destage_config(), test_key());
+  start_held_destage(dev, gate);
+  auto flushed = std::async(std::launch::async, [&] { return dev.flush(); });
+  EXPECT_EQ(flushed.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  gate.open();
+  EXPECT_TRUE(flushed.get().is_ok());
+#ifndef STASH_TELEMETRY_DISABLED
+  EXPECT_EQ(dev.stats_snapshot().flushed_pages, 2u);
+#endif
+  const auto flash_reads = dev.ledger().reads;
+  for (std::uint64_t lpn = 0; lpn < 2; ++lpn) {
+    auto r = dev.read(lpn);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_TRUE(matches(r.value(), version(dev, lpn, 1)));
+  }
+  // The flush retired the half: both reads went to flash.
+  EXPECT_EQ(dev.ledger().reads, flash_reads + 2);
+  dev.set_fault_injector(nullptr);
+}
+
+TEST(DevDestage, PowerCutMidDestageReportsOnlyUnprogrammedWritesLost) {
+  DeviceConfig config = tiny_config();
+  config.write_back_pages = 8;  // halves of 4
+  StashDevice dev(config, test_key());
+  for (std::uint64_t lpn = 0; lpn < 6; ++lpn) {
+    ASSERT_TRUE(dev.write(lpn, version(dev, lpn, 1)).is_ok());
+  }
+  ASSERT_TRUE(dev.flush().is_ok());
+
+  // The cut lands on the third chip op after attaching: the background
+  // destage of the half 0..3 programs lpns 0 and 1, then goes dark.
+  fault::FaultPlan plan(4);
+  plan.power_cut_at(2, 0.5);
+  dev.set_fault_injector(&plan);
+  for (std::uint64_t lpn = 0; lpn < 6; ++lpn) {
+    ASSERT_TRUE(dev.write(lpn, version(dev, lpn, 2)).is_ok());
+  }
+  EXPECT_FALSE(dev.flush().is_ok());  // the destage error surfaces here
+  plan.restore_power();
+  ASSERT_TRUE(dev.power_cycle().is_ok());
+  dev.set_fault_injector(nullptr);
+
+  const std::set<std::uint64_t> lost(dev.lost_writes().begin(),
+                                     dev.lost_writes().end());
+  EXPECT_EQ(lost, (std::set<std::uint64_t>{2, 3, 4, 5}));
+  for (std::uint64_t lpn = 0; lpn < 6; ++lpn) {
+    auto r = dev.read(lpn);
+    ASSERT_TRUE(r.is_ok()) << "lpn=" << lpn;
+    // Programmed => durable and not reported lost; reported lost => the
+    // previous durable version, intact.
+    const std::uint64_t expect = lost.count(lpn) ? 1 : 2;
+    EXPECT_TRUE(matches(r.value(), version(dev, lpn, expect)))
+        << "lpn=" << lpn;
+  }
+}
+
+TEST(DevDestage, ConcurrentSubmittersReadTheirWritesDuringDestage) {
+  DeviceConfig config = tiny_config();
+  config.chips = 2;
+  config.write_back_pages = 8;
+  StashDevice dev(config, test_key());
+  const std::uint64_t span = dev.logical_pages() / 4;  // per submitter
+  constexpr std::uint64_t kRounds = 6;
+  std::atomic<std::uint64_t> mismatches{0};
+  const auto submitter = [&](std::uint64_t base) {
+    util::Xoshiro256 rng(base + 1);
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+      for (std::uint64_t i = 0; i < span; ++i) {
+        const std::uint64_t lpn = base + i;
+        if (!dev.write(lpn, version(dev, lpn, round)).is_ok()) {
+          mismatches.fetch_add(1);
+        }
+        // Read back one of this submitter's pages: its latest version,
+        // staged or already destaged.
+        const std::uint64_t probe = base + rng() % (i + 1);
+        auto r = dev.read(probe);
+        if (!r.is_ok() || !matches(r.value(), version(dev, probe, round))) {
+          mismatches.fetch_add(1);
+        }
+      }
+    }
+  };
+  std::thread a(submitter, 0);
+  std::thread b(submitter, span);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  ASSERT_TRUE(dev.flush().is_ok());
+  for (std::uint64_t lpn = 0; lpn < 2 * span; ++lpn) {
+    auto r = dev.read(lpn);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_TRUE(matches(r.value(), version(dev, lpn, kRounds)));
   }
 }
 

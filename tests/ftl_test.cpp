@@ -1,12 +1,14 @@
 // FTL tests: mapping correctness against a reference model, GC invariants,
-// trim, wear leveling, relocation hook, no-space behaviour, and the batch
-// read.
+// trim, wear leveling, relocation hook, no-space behaviour, the batch read,
+// and reads that overlap a writer's programs and GC.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <span>
+#include <thread>
 
 #include "stash/fault/plan.hpp"
 #include "stash/ftl/ftl.hpp"
@@ -265,6 +267,61 @@ TEST(Ftl, ReadBatchIntoRejectsDestinationCountMismatch) {
     EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
   }
   EXPECT_EQ(chip.ledger().reads, reads_before);  // nothing was read
+}
+
+// One mutator beside a concurrent reader (the StashDevice destage shape):
+// every read is a version some write produced, never an erased or
+// half-relocated page, while the writer rewrites the same lpns through
+// enough GC to recycle every block.
+TEST(Ftl, ReadsOverlapWritesAndGc) {
+  FlashChip chip(Geometry::tiny(), NoiseModel::vendor_a(), 77);
+  PageMappedFtl ftl(chip);
+  const std::uint64_t lpns = ftl.logical_pages() / 2;  // slack for GC
+  constexpr std::uint64_t kRounds = 12;
+  const auto version = [&](std::uint64_t lpn, std::uint64_t round) {
+    return pattern_page(ftl.page_bits(), lpn * 1000 + round);
+  };
+  for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+    ASSERT_TRUE(ftl.write(lpn, version(lpn, 0)).is_ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+        const auto r = ftl.read(lpn);
+        bool known = false;
+        for (std::uint64_t round = 0; r.is_ok() && round <= kRounds && !known;
+             ++round) {
+          known = diff_bits(r.value(), version(lpn, round)) <
+                  ftl.page_bits() / 4;
+        }
+        if (!known) bad.fetch_add(1);
+        reads.fetch_add(1);
+        std::this_thread::yield();  // let the writer take the map lock
+      }
+    }
+  });
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+      ASSERT_TRUE(ftl.write(lpn, version(lpn, round)).is_ok());
+    }
+  }
+  done.store(true);
+  reader.join();
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(bad.load(), 0u);
+#ifndef STASH_TELEMETRY_DISABLED
+  EXPECT_GT(ftl.stats_snapshot().gc_runs, 0u);
+#endif
+  for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+    const auto r = ftl.read(lpn);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_LT(diff_bits(r.value(), version(lpn, kRounds)), ftl.page_bits() / 4);
+  }
 }
 
 }  // namespace
