@@ -99,6 +99,7 @@ class WriteBackBuffer {
   /// nullptr when the lpn is not buffered.
   [[nodiscard]] const Entry* find(std::uint64_t lpn) const;
 
+  [[nodiscard]] std::size_t half_pages() const noexcept { return half_pages_; }
   /// The open half is full: it must be handed off before it takes more.
   [[nodiscard]] bool sealed() const noexcept {
     return open_.size() >= half_pages_;

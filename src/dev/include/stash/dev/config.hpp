@@ -60,7 +60,10 @@ struct DeviceConfig {
   /// write_back_pages / 2 (at least 1): the open half takes new writes; a
   /// full one is sealed and destaged in the background while the other
   /// fills.  A write that finds the open half sealed behind a running
-  /// destage waits (as a pending future) for that destage to finish.
+  /// destage waits (as a pending future) for that destage to finish; at
+  /// most one half of writes waits that way, beyond which the submitting
+  /// call blocks.  Staged pages never exceed write_back_pages; pending
+  /// writes add at most write_back_pages / 2 pages held for admission.
   /// 0 selects write-through: every write is durable before its future
   /// resolves.
   std::size_t write_back_pages = 64;

@@ -29,14 +29,13 @@
 //     in the background while the next half fills; a write that finds the
 //     open half sealed behind a still-running destage gets a pending
 //     future, admitted in FIFO order when that destage completes
-//     (backpressure that never blocks the submitting thread).  The next
-//     destage then holds its start until the admitted writers' burst
-//     seals the open half (5 ms at most), so that burst is served on idle
-//     CPUs and the programs run while the writers wait.  Under a
-//     stash::fault power cut, everything a successful flush() covered
-//     survives, and power_cycle() reports the acked writes that never
-//     reached flash as lost (never corrupted — the FTL remaps only after a
-//     program completes, so torn writes leave the old version readable).
+//     (backpressure that does not block the submitting thread until one
+//     half of writes is pending; a submitter past that waits for the
+//     admission).  Under a stash::fault power cut, everything a successful
+//     flush() covered survives, and power_cycle() reports the acked writes
+//     that never reached flash as lost (never corrupted — the FTL remaps
+//     only after a program completes, so torn writes leave the old version
+//     readable).
 //
 // Determinism: the schedule — dispatch rounds, QoS order, where each
 // write-back half seals, what it holds, and so which versions each chip
@@ -199,8 +198,9 @@ class StashDevice {
   /// Stage a write.  Write-back mode acknowledges as soon as the data is
   /// buffered (durable only after flush()); a write that arrives while the
   /// open half is sealed behind a running destage resolves when that
-  /// destage completes.  Write-through mode (write_back_pages == 0) is
-  /// durable before the future resolves.
+  /// destage completes; while one half of such writes is already pending,
+  /// the call itself waits for that admission.  Write-through mode
+  /// (write_back_pages == 0) is durable before the future resolves.
   std::future<Status> submit_write(std::uint64_t lpn,
                                    std::vector<std::uint8_t> bits);
   /// Stage a trim tombstone, exactly like a write.
@@ -370,10 +370,6 @@ class StashDevice {
     std::vector<std::vector<std::size_t>> items;
     std::vector<std::vector<Status>> results;
     std::uint32_t chips_left = 0;
-    /// Workers wait while held (until held_until at the latest); see
-    /// finish_destage_locked().
-    bool held = false;
-    std::chrono::steady_clock::time_point held_until;
     std::chrono::steady_clock::time_point start;
     trace::TraceContext trace{};
     std::uint64_t trace_t0 = 0;
@@ -409,8 +405,6 @@ class StashDevice {
   /// Run by the last chip worker to finish: record the outcome, hand off a
   /// sealed half, admit pending writes, wake idle waiters.
   void finish_destage_locked();
-  void release_held_destage_locked() const;
-  /// Releases a held destage, then waits for it to finish.
   void wait_destage_idle(std::unique_lock<std::mutex>& lock) const;
   void destage_worker(std::uint32_t chip);
   void stop_workers() noexcept;
@@ -472,13 +466,14 @@ class StashDevice {
 
   // ---- Write-back destage state (guarded by mu_) --------------------------
   std::deque<PendingWrite> pending_writes_;  // FIFO admission order
-  mutable Destage destage_;
+  Destage destage_;
   bool destage_active_ = false;
   bool stopping_ = false;
   std::uint64_t destage_seq_ = 0;     // destage trace ids
   Status destage_error_;              // first error since the last flush()
   std::function<void()> completion_hook_;
-  mutable std::condition_variable work_cv_;   // workers: a new destage
+  std::condition_variable work_cv_;   // workers: a new destage
+  std::condition_variable admission_cv_;  // submitters: pending writes fell
   mutable std::condition_variable idle_cv_;   // waiters: destage idle
 
   // Per-instance counters (mirrored into the global "dev.*" registry

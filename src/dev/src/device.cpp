@@ -1,10 +1,5 @@
 #include "stash/dev/device.hpp"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include <algorithm>
 #include <iterator>
 #include <optional>
@@ -150,10 +145,6 @@ std::optional<Segment> unpack_segment(std::span<const std::uint8_t> raw) {
   seg.payload.assign(raw.begin() + kSegmentHeaderBytes, raw.end());
   return seg;
 }
-
-/// How long a destage handed off together with admitted writes waits for
-/// their burst to seal the open half before it starts anyway.
-constexpr std::chrono::milliseconds kHoldAfterAdmission{5};
 
 /// Uniform config contract: reject an invalid DeviceConfig before any
 /// member (pool, chip array) is built from it.
@@ -410,24 +401,25 @@ std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
   }
   const bool write_back = config_.write_back_pages > 0;
   if (st.is_ok() && write_back) {
+    if (write.trace.active()) write.enqueue_now = staging_now();
+    // At most one half of writes waits for admission; past that the
+    // submitter itself waits for the destage that admits them.  The cache
+    // is invalidated after this wait: a read meanwhile may still cache the
+    // flash version, and nothing newer is staged yet.
+    admission_cv_.wait(lock, [this] {
+      return pending_writes_.size() < buffer_.half_pages();
+    });
     cache_.invalidate(lpn);
     // Adopt, not copy: the staged PageRef feeds buffer-hit readers and the
     // destage from the same storage.
     if (!write.trim) write.bits = PageRef::adopt(std::move(bits));
-    if (write.trace.active()) write.enqueue_now = staging_now();
     if (buffer_.sealed()) {
       // The open half waits on the running destage; that destage's
       // completion admits this write, in submission order.
       pending_writes_.push_back(std::move(write));
     } else {
       admit_locked(write);
-      if (buffer_.sealed()) {
-        if (!destage_active_) {
-          hand_off_locked();
-        } else {
-          release_held_destage_locked();  // the admitted burst is over
-        }
-      }
+      if (buffer_.sealed() && !destage_active_) hand_off_locked();
     }
     set_buffer_gauges();
   } else {
@@ -1016,29 +1008,17 @@ void StashDevice::hand_off_locked() {
                                       trace::Op::kFlush, 0);
     destage_.trace_t0 = staging_now();
   }
-  destage_.held = false;
   ++destage_.gen;
   destage_active_ = true;
   work_cv_.notify_all();
 }
 
 void StashDevice::destage_worker(std::uint32_t chip) {
-#ifdef __linux__
-  // Destage is throughput work.  SCHED_BATCH keeps its full CPU share (so
-  // the per-chip workers spread over CPUs like any thread) but marks it
-  // non-interactive: a waking submitter or event loop gets a shared CPU
-  // first, the way a drive's background programs yield to host reads.
-  // Needs no privilege; a failure only leaves the default policy.
-  const sched_param batch{};
-  (void)pthread_setschedparam(pthread_self(), SCHED_BATCH, &batch);
-#endif
   std::unique_lock<std::mutex> lock(mu_);
   std::uint64_t seen = 0;  // the generation at spawn: none handed off yet
   for (;;) {
     work_cv_.wait(lock, [&] { return stopping_ || destage_.gen != seen; });
     seen = destage_.gen;
-    work_cv_.wait_until(lock, destage_.held_until,
-                        [&] { return stopping_ || !destage_.held; });
     if (stopping_) return;
     // Frozen until this destage finishes: the next hand-off (the only
     // writer of the destaging half and the plan) waits for it.
@@ -1116,32 +1096,17 @@ void StashDevice::finish_destage_locked() {
       pending_writes_.pop_front();
       admitted = true;
     }
-    // Writes left pending sealed the new open half again: the destage
-    // just handed off admits them.  Otherwise the admitted writers are
-    // about to burst: hold the new destage until that burst seals the
-    // open half (or kHoldAfterAdmission passes), so the burst is served on
-    // otherwise idle CPUs and the destage then runs while they wait.
-    if (admitted && !buffer_.sealed()) {
-      destage_.held = true;
-      destage_.held_until = std::chrono::steady_clock::now() + kHoldAfterAdmission;
-    }
   }
   set_buffer_gauges();
   if (!destage_active_) idle_cv_.notify_all();
+  if (admitted) admission_cv_.notify_all();
   // Called under mu_ on purpose: set_completion_hook() then guarantees
   // that no call of the hook it replaced is still running (the server
   // closes the descriptor its hook writes right after uninstalling it).
   if (admitted && completion_hook_) completion_hook_();
 }
 
-void StashDevice::release_held_destage_locked() const {
-  if (!destage_.held) return;
-  destage_.held = false;
-  work_cv_.notify_all();
-}
-
 void StashDevice::wait_destage_idle(std::unique_lock<std::mutex>& lock) const {
-  release_held_destage_locked();  // someone waits on it now
   idle_cv_.wait(lock, [this] { return !destage_active_; });
 }
 

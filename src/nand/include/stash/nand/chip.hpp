@@ -25,12 +25,12 @@
 //     concurrently from any threads and still produce byte-identical
 //     per-block voltages — regardless of how the operations interleave
 //     across blocks, of thread count, and of SIMD lane width.
-//   * Operations on the SAME block are serialized by an internal striped
-//     lock (no data races), but their relative order determines the
-//     block's epoch sequence: callers that need reproducibility must
-//     submit same-block operations in a deterministic order (stash::par's
-//     shard queues do exactly this).  Within one operation, per-cell draws
-//     are order-independent by construction.
+//   * Operations on the SAME block are serialized by an internal per-block
+//     lock (no data races; an op never waits for one on another block),
+//     but their relative order determines the block's epoch sequence:
+//     callers that need reproducibility must submit same-block operations
+//     in a deterministic order.  Within one operation, per-cell draws are
+//     order-independent by construction.
 //   * The cost ledger accumulates in fixed-point atomics, so totals are
 //     exact and thread-count independent.
 //   * Whole-chip sweeps (bake(), voltage_histogram(), program_block_random)
@@ -275,9 +275,9 @@ class FlashChip {
     std::atomic<std::uint64_t> partial_programs{0};
   };
 
-  static constexpr std::size_t kLockStripes = 64;
+  /// `block` must be in range (callers check_addr first).
   [[nodiscard]] std::mutex& block_lock(std::uint32_t block) const noexcept {
-    return locks_[block % kLockStripes];
+    return locks_[block];
   }
   void charge(double us, double uj) noexcept;
   /// Fault injectors carry mutable state (operation counters, schedules)

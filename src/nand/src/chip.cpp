@@ -86,7 +86,7 @@ FlashChip::FlashChip(const Geometry& geometry, const NoiseModel& noise,
       costs_(costs),
       seed_(serial_seed),
       blocks_(geometry.blocks),
-      locks_(std::make_unique<std::mutex[]>(kLockStripes)),
+      locks_(std::make_unique<std::mutex[]>(geometry.blocks)),
       ledger_(std::make_unique<AtomicLedger>()) {
   if (util::Status valid = noise.validate(); !valid.is_ok()) {
     throw std::invalid_argument(valid.to_string());

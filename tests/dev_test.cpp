@@ -925,10 +925,19 @@ std::vector<std::uint8_t> version(const StashDevice& dev, std::uint64_t lpn,
   return page_pattern(dev.page_bits(), 5000 + 100 * v + lpn);
 }
 
+/// A destage_config() device behind a ProgramGate.  The gate opens before
+/// the device's destructor flushes, also when a failed assertion returned
+/// early with a destage still held.
+struct GatedDevice {
+  ProgramGate gate;
+  StashDevice dev{destage_config(), test_key()};
+  GatedDevice() { dev.set_fault_injector(&gate); }
+  ~GatedDevice() { gate.open(); }
+};
+
 /// Writes 0 and 1 seal the first half; its destage holds at its first
 /// program.
 void start_held_destage(StashDevice& dev, ProgramGate& gate) {
-  dev.set_fault_injector(&gate);
   for (std::uint64_t lpn = 0; lpn < 2; ++lpn) {
     // Returns while the destage it started runs.
     ASSERT_TRUE(dev.write(lpn, version(dev, lpn, 1)).is_ok());
@@ -941,8 +950,9 @@ bool ready(const std::future<util::Status>& f) {
 }
 
 TEST(DevDestage, WritePastTheBoundStaysPendingUntilTheDestageCompletes) {
-  ProgramGate gate;
-  StashDevice dev(destage_config(), test_key());
+  GatedDevice gated;
+  StashDevice& dev = gated.dev;
+  ProgramGate& gate = gated.gate;
   start_held_destage(dev, gate);
 #ifndef STASH_TELEMETRY_DISABLED
   EXPECT_EQ(dev.stats_snapshot().flushes, 1u);
@@ -972,12 +982,46 @@ TEST(DevDestage, WritePastTheBoundStaysPendingUntilTheDestageCompletes) {
     EXPECT_TRUE(matches(r.value(), version(dev, lpn, 1))) << "lpn=" << lpn;
   }
   EXPECT_EQ(dev.read(5).status().code(), ErrorCode::kNotFound);
-  dev.set_fault_injector(nullptr);
+}
+
+TEST(DevDestage, SubmitterWaitsOncePendingWritesFillAHalf) {
+  GatedDevice gated;
+  StashDevice& dev = gated.dev;
+  start_held_destage(dev, gated.gate);
+  // 2 staged in the destaging half, 2 in the sealed open half, and one
+  // half (2) of pending writes: 3 x write_back_pages / 2 in total.
+  std::vector<std::future<util::Status>> acks;
+  for (std::uint64_t lpn = 2; lpn < 6; ++lpn) {
+    acks.push_back(dev.submit_write(lpn, version(dev, lpn, 1)));
+  }
+  ASSERT_FALSE(ready(acks.back()));
+  // Past 2 x write_back_pages without waiting on any ack: the submitter
+  // itself now waits for the destage to admit the pending half.
+  auto more = std::async(std::launch::async, [&] {
+    std::vector<std::future<util::Status>> out;
+    for (std::uint64_t lpn = 6; lpn < 10; ++lpn) {
+      out.push_back(dev.submit_write(lpn, version(dev, lpn, 1)));
+    }
+    return out;
+  });
+  EXPECT_EQ(more.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  gated.gate.open();
+  for (auto& f : more.get()) acks.push_back(std::move(f));
+  for (auto& f : acks) EXPECT_TRUE(f.get().is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+  EXPECT_EQ(dev.ledger().programs, 10u);
+  for (std::uint64_t lpn = 0; lpn < 10; ++lpn) {
+    auto r = dev.read(lpn);
+    ASSERT_TRUE(r.is_ok()) << "lpn=" << lpn;
+    EXPECT_TRUE(matches(r.value(), version(dev, lpn, 1))) << "lpn=" << lpn;
+  }
 }
 
 TEST(DevDestage, ReadsServeTheDestagingHalfAndPendingWrites) {
-  ProgramGate gate;
-  StashDevice dev(destage_config(), test_key());
+  GatedDevice gated;
+  StashDevice& dev = gated.dev;
+  ProgramGate& gate = gated.gate;
   start_held_destage(dev, gate);
   ASSERT_TRUE(dev.write(2, version(dev, 2, 1)).is_ok());
   ASSERT_TRUE(dev.write(3, version(dev, 3, 1)).is_ok());  // seals
@@ -1009,12 +1053,12 @@ TEST(DevDestage, ReadsServeTheDestagingHalfAndPendingWrites) {
   auto r = dev.read(1);
   ASSERT_TRUE(r.is_ok());
   EXPECT_TRUE(matches(r.value(), version(dev, 1, 2)));
-  dev.set_fault_injector(nullptr);
 }
 
 TEST(DevDestage, FlushWaitsForTheInFlightDestage) {
-  ProgramGate gate;
-  StashDevice dev(destage_config(), test_key());
+  GatedDevice gated;
+  StashDevice& dev = gated.dev;
+  ProgramGate& gate = gated.gate;
   start_held_destage(dev, gate);
   auto flushed = std::async(std::launch::async, [&] { return dev.flush(); });
   EXPECT_EQ(flushed.wait_for(std::chrono::milliseconds(100)),
@@ -1032,7 +1076,6 @@ TEST(DevDestage, FlushWaitsForTheInFlightDestage) {
   }
   // The flush retired the half: both reads went to flash.
   EXPECT_EQ(dev.ledger().reads, flash_reads + 2);
-  dev.set_fault_injector(nullptr);
 }
 
 TEST(DevDestage, PowerCutMidDestageReportsOnlyUnprogrammedWritesLost) {
