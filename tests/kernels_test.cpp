@@ -208,6 +208,73 @@ TEST(KernelsVsReference, KsVectorizedVsReferencePerOp) {
   }
 }
 
+// ---- Golden digests ----------------------------------------------------------
+
+// The SIMD and reference builds share cell_ops.hpp, so the battery above
+// cannot see a change to the shared per-cell math itself.  These digests
+// pin the drawn values: a full 36,096-cell page, and an unaligned slice
+// whose group count leaves a remainder after any 16-group block.  Only
+// Philox and vmath feed them (no libm), so they hold on any x86-64 host and
+// with or without -march=native.
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint32_t kPageCells = 36096;
+struct Slice {
+  std::uint32_t cell0, n;
+};
+constexpr std::array<Slice, 2> kGoldenSlices = {{{0, kPageCells},
+                                                 {5, kPageCells - 11}}};
+
+TEST(KernelsGolden, ErasedFillDigest) {
+  constexpr std::array<std::uint64_t, 2> kWant = {0x9a617edbae413492ULL,
+                                                 0x5d21103c6bf01afaULL};
+  for (std::size_t s = 0; s < kGoldenSlices.size(); ++s) {
+    const auto [cell0, n] = kGoldenSlices[s];
+    const DrawKey key = derive_key(kSeed, Op::kErasedFill, 17, 3, 41);
+    std::vector<float> row(n);
+    erased_fill(key, erased_params(), row.data(), cell0, n);
+    EXPECT_EQ(fnv1a(row.data(), n * sizeof(float)), kWant[s])
+        << std::hex << fnv1a(row.data(), n * sizeof(float));
+  }
+}
+
+TEST(KernelsGolden, NormalRowDigest) {
+  constexpr std::array<std::uint64_t, 2> kWant = {0xae25eb28e2eb0e18ULL,
+                                                 0xf6fa756120bb85f5ULL};
+  for (std::size_t s = 0; s < kGoldenSlices.size(); ++s) {
+    const auto [cell0, n] = kGoldenSlices[s];
+    const DrawKey key = derive_key(kSeed, Op::kProgramTarget, 17, 3, 42);
+    std::vector<double> out(n);
+    normal_row(key, 163.0, 7.5, out.data(), cell0, n);
+    EXPECT_EQ(fnv1a(out.data(), n * sizeof(double)), kWant[s])
+        << std::hex << fnv1a(out.data(), n * sizeof(double));
+  }
+}
+
+TEST(KernelsGolden, DisturbRowDigest) {
+  constexpr std::array<std::uint64_t, 2> kWant = {0xeefa38a976ed1e7cULL,
+                                                 0xd9707f161e638889ULL};
+  for (std::size_t s = 0; s < kGoldenSlices.size(); ++s) {
+    const auto [cell0, n] = kGoldenSlices[s];
+    const DrawKey key = derive_key(kSeed, Op::kDisturb, 17, 3, 43);
+    std::vector<float> row(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      row[i] = (i % 7 == 0) ? 170.0f : 18.0f + static_cast<float>(i % 5);
+    }
+    disturb_row(key, disturb_params(), row.data(), cell0, n);
+    EXPECT_EQ(fnv1a(row.data(), n * sizeof(float)), kWant[s])
+        << std::hex << fnv1a(row.data(), n * sizeof(float));
+  }
+}
+
 // ---- Chunk-partition invariance --------------------------------------------
 
 // Any partition of [cell0, cell0+n) must reproduce the whole-row result
