@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): substrate operation costs — NAND
-// simulator ops, SHA-256 / ChaCha20, BCH encode/decode, SVM training, and
-// the end-to-end VT-HI hide/reveal path.  These are ablation aids for the
+// simulator ops and their noise kernels, SHA-256 / ChaCha20, BCH
+// encode/decode, SVM training, and the end-to-end VT-HI hide/reveal path.  These are ablation aids for the
 // design choices DESIGN.md §6 lists, not paper figures.
 
 #include <benchmark/benchmark.h>
@@ -8,6 +8,7 @@
 #include "stash/crypto/chacha20.hpp"
 #include "stash/crypto/sha256.hpp"
 #include "stash/ecc/bch.hpp"
+#include "stash/kernels/kernels.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/svm/svm.hpp"
 #include "stash/telemetry/metrics.hpp"
@@ -71,6 +72,54 @@ void BM_NandEraseBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NandEraseBlock);
+
+// The three noise kernels behind every program and erase, over one
+// full-geometry page (36,096 cells); items are cells, so the reported
+// items_per_second inverts to ns/cell.
+constexpr std::uint32_t kKernelCells = 36096;
+
+void BM_KernelNormalRow(benchmark::State& state) {
+  std::vector<double> out(kKernelCells);
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    const auto key = kernels::derive_key(1, kernels::Op::kProgramTarget, 0, 0,
+                                         ++epoch);
+    kernels::normal_row(key, 163.0, 7.5, out.data(), 0, kKernelCells);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kKernelCells);
+}
+BENCHMARK(BM_KernelNormalRow);
+
+void BM_KernelDisturbRow(benchmark::State& state) {
+  std::vector<float> row(kKernelCells, 21.0f);
+  kernels::DisturbParams p;
+  p.mu = 0.6;
+  p.sigma = 0.5;
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    const auto key =
+        kernels::derive_key(1, kernels::Op::kDisturb, 0, 0, ++epoch);
+    kernels::disturb_row(key, p, row.data(), 0, kKernelCells);
+    benchmark::DoNotOptimize(row.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kKernelCells);
+}
+BENCHMARK(BM_KernelDisturbRow);
+
+void BM_KernelErasedFill(benchmark::State& state) {
+  std::vector<float> row(kKernelCells);
+  const kernels::ErasedParams p{20.0, 3.2, 0.025, 7.5, 80.0};
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    const auto key =
+        kernels::derive_key(1, kernels::Op::kErasedFill, 0, 0, ++epoch);
+    kernels::erased_fill(key, p, row.data(), 0, kKernelCells);
+    benchmark::DoNotOptimize(row.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kKernelCells);
+}
+BENCHMARK(BM_KernelErasedFill);
 
 void BM_Sha256(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));

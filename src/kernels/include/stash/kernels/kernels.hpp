@@ -30,6 +30,26 @@ namespace stash::kernels {
 // deviates (group = a quad).  Cell c still gets a pure function of
 // (key, c); chunk boundaries that split a group just recompute the shared
 // draw on both sides.
+//
+// Sixteen-wide Philox: in a build with AVX-512 (F and BW), the three
+// normal-drawing kernels run their groups in blocks of 16, drawing each
+// block with draw128x16 — sixteen Philox4x32-10 lanes in four 512-bit
+// registers, with each round's 32x32->64 products taken as even/odd
+// vpmuludq halves and blended back — and then running the usual per-group
+// Box-Muller body over the sixteen draws.  The lanes compute exactly the
+// integer arithmetic of draw128, so every output bit is unchanged: the
+// golden digests and the vectorized-vs-reference battery in
+// tests/kernels_test.cpp hold on both paths.  Remainder groups, chunk
+// boundaries and builds without AVX-512 use the generic one-draw-per-group
+// loop.
+
+/// draw128 for sixteen consecutive counters: w[j][i] is lane j of
+/// draw128(key, first + i, sub).
+struct Draw16 {
+  alignas(64) std::uint32_t w[4][16];
+};
+void draw128x16(DrawKey key, std::uint32_t first, std::uint32_t sub,
+                Draw16& out) noexcept;
 
 /// Erased-state redraw: v = clamp(N(mu, sigma) + Bern(tail_prob)*Exp(tail_mean),
 /// 0, cap) per cell.
@@ -77,8 +97,8 @@ void leak_row(std::uint64_t seed, std::uint32_t block, std::uint32_t page,
               double base, double floor_v, double sigma_ln, float* row,
               std::uint32_t cell0, std::uint32_t n) noexcept;
 
-/// Weak-cell trait mask (bit-compatible with FlashChip::cell_is_weak):
-/// mask[i] = 1 iff hash_uniform(seed, block, page, cell0+i) < prob.
+/// Weak-cell trait mask: mask[i] = 1 iff
+/// hash_uniform(seed, block, page, cell0+i) < prob.
 void weak_mask(std::uint64_t seed, std::uint32_t block, std::uint32_t page,
                double prob, std::uint8_t* mask, std::uint32_t cell0,
                std::uint32_t n) noexcept;

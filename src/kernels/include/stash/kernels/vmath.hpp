@@ -65,11 +65,17 @@ namespace stash::kernels {
   return e * kLn2Hi + (log_m + e * kLn2Lo);
 }
 
-/// cos(2*pi*u) for u in [0, 2).  Quadrant reduction + short minimax-grade
-/// Taylor polynomials on [-pi/4, pi/4].
-[[nodiscard]] inline double vcos2pi(double u) noexcept {
-  const double a = 4.0 * u;                       // [0, 4)
-  const int k = static_cast<int>(a + 0.5);        // nearest quadrant, [0, 4]
+namespace detail {
+/// Quadrant reduction of 2*pi*u shared by vcos2pi and vsincos2pi: the
+/// nearest quadrant k and the cos/sin polynomials of the remainder angle.
+struct Quadrant {
+  int k;
+  double c, s;
+};
+
+[[nodiscard]] inline Quadrant quadrant2pi(double u) noexcept {
+  const double a = 4.0 * u;                       // [0, 8)
+  const int k = static_cast<int>(a + 0.5);        // nearest quadrant
   const double f = a - static_cast<double>(k);    // [-0.5, 0.5]
   const double th = f * 1.5707963267948966;       // [-pi/4, pi/4]
   const double th2 = th * th;
@@ -87,23 +93,40 @@ namespace stash::kernels {
   s = 1.0 / 6.0 - s * th2;
   s = 1.0 - s * th2;
   s = s * th;
+  return {k, c, s};
+}
 
-  // Quadrant select and sign flip in arithmetic form: GCC's if-converter
-  // rejects selects whose condition is a narrow integer against double
-  // data, which would de-vectorize every caller.  Multiplying by an exact
-  // 0.0/1.0 (resp. ±1.0) is bit-identical to the select.
-  // (s*odd + c*(1-odd) is an exact select for odd in {0,1}: one side is
-  // multiplied by exactly 1.0, the other collapses to a signless-safe +0.)
-  const double odd = static_cast<double>(k & 1);        // exactly 0 or 1
+/// cos of quadrant k's angle from the remainder polynomials.  The select
+/// and sign flip are in arithmetic form: GCC's if-converter rejects selects
+/// whose condition is a narrow integer against double data, which would
+/// de-vectorize every caller.  Multiplying by an exact 0.0/1.0 (resp.
+/// ±1.0) is bit-identical to the select: one side is multiplied by exactly
+/// 1.0, the other collapses to a signless-safe +0.
+[[nodiscard]] inline double quadrant_cos(int k, double c, double s) noexcept {
+  const double odd = static_cast<double>(k & 1);              // exactly 0 or 1
   const double sgn = 1.0 - static_cast<double>((k + 1) & 2);  // exactly ±1
   return (s * odd + c * (1.0 - odd)) * sgn;
 }
+}  // namespace detail
 
-/// sin(2*pi*u) for u in [0, 1), via cos(2*pi*(u + 3/4)).  The 3/4 shift is
-/// exact for any u with <= 51 fractional bits (the draws' 32-bit uniforms
-/// qualify), and vcos2pi's quadrant reduction handles the shifted phase.
-[[nodiscard]] inline double vsin2pi(double u) noexcept {
-  return vcos2pi(u + 0.75);
+/// cos(2*pi*u) for u in [0, 2).  Quadrant reduction + short minimax-grade
+/// Taylor polynomials on [-pi/4, pi/4].
+[[nodiscard]] inline double vcos2pi(double u) noexcept {
+  const detail::Quadrant q = detail::quadrant2pi(u);
+  return detail::quadrant_cos(q.k, q.c, q.s);
+}
+
+/// cos(2*pi*u) and sin(2*pi*u) for u in [0, 1) from ONE reduction.  The sin
+/// is defined as cos(2*pi*(u + 3/4)), i.e. vcos2pi(u + 0.75).  For u on the
+/// 2^-52 grid (every phase the draws produce has at most 32 fractional
+/// bits), u + 0.75, 4u + 3 and 4u + 3.5 are all exact, so the shifted phase
+/// reduces to the same remainder f in quadrant k + 3: the polynomials are
+/// shared and only the quadrant select differs.  Bit-identical to
+/// {vcos2pi(u), vcos2pi(u + 0.75)} on that grid (tests/kernels_test.cpp).
+inline void vsincos2pi(double u, double& cos_out, double& sin_out) noexcept {
+  const detail::Quadrant q = detail::quadrant2pi(u);
+  cos_out = detail::quadrant_cos(q.k, q.c, q.s);
+  sin_out = detail::quadrant_cos(q.k + 3, q.c, q.s);
 }
 
 /// exp(x) for |x| <= ~700.  Standard 2^k * exp(r) split, degree-10 series.

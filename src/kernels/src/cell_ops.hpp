@@ -32,12 +32,9 @@ struct ZPair {
   const double m2l = -2.0 * vlog(u1);
   // vlog(1.0) is exactly 0, but guard the sqrt against a last-ulp positive.
   const double rad = std::sqrt(m2l < 0.0 ? 0.0 : m2l);
-  return {rad * vcos2pi(u2), rad * vsin2pi(u2)};
-}
-
-[[nodiscard]] inline ZPair zpair_of(
-    const std::array<std::uint32_t, 4>& r) noexcept {
-  return zpair_from(r[0], r[1]);
+  double c, s;
+  vsincos2pi(u2, c, s);
+  return {rad * c, rad * s};
 }
 
 // ---- Erased-state fill ------------------------------------------------------
@@ -57,13 +54,24 @@ struct ZPair {
   return static_cast<float>(vmin(vmax(v, 0.0), p.cap));
 }
 
+/// A pair of cells from the pair's draw words r0..r3 (draw128(key, pair, 0)):
+/// the form the sixteen-wide block loop feeds.
+inline void erased_pair(const ErasedParams& p, double inv_tail_prob,
+                        std::uint32_t r0, std::uint32_t r1, std::uint32_t r2,
+                        std::uint32_t r3, float& even, float& odd) noexcept {
+  const ZPair z = zpair_from(r0, r1);
+  even = erased_from(p, inv_tail_prob, z.z0, r2);
+  odd = erased_from(p, inv_tail_prob, z.z1, r3);
+}
+
+/// A pair of cells drawing its own words: the generic loop's form.  (The
+/// loop calling the draw-word form directly on a draw128 result does not
+/// vectorize under GCC 12; through this wrapper it does.)
 inline void erased_pair(DrawKey key, const ErasedParams& p,
                         double inv_tail_prob, std::uint32_t pair, float& even,
                         float& odd) noexcept {
   const auto r = draw128(key, pair, 0);
-  const ZPair z = zpair_of(r);
-  even = erased_from(p, inv_tail_prob, z.z0, r[2]);
-  odd = erased_from(p, inv_tail_prob, z.z1, r[3]);
+  erased_pair(p, inv_tail_prob, r[0], r[1], r[2], r[3], even, odd);
 }
 
 /// Single-cell form (pair recomputed, one lane kept): the scalar reference
@@ -72,7 +80,7 @@ inline void erased_pair(DrawKey key, const ErasedParams& p,
                                        double inv_tail_prob,
                                        std::uint32_t c) noexcept {
   const auto r = draw128(key, c >> 1, 0);
-  const ZPair z = zpair_of(r);
+  const ZPair z = zpair_from(r[0], r[1]);
   return (c & 1u) ? erased_from(p, inv_tail_prob, z.z1, r[3])
                   : erased_from(p, inv_tail_prob, z.z0, r[2]);
 }
@@ -82,16 +90,25 @@ inline void erased_pair(DrawKey key, const ErasedParams& p,
 // one draw -> two evaluations -> FOUR cells (a "quad"; cell c maps to
 // draw128(key, c >> 2, sub), evaluation c & 2, lane c & 1).
 
-inline void normal_quad(DrawKey key, double mu, double sigma,
-                        std::uint32_t quad, double& c0, double& c1,
-                        double& c2, double& c3) noexcept {
-  const auto r = draw128(key, quad, 0);
-  const ZPair a = zpair_from(r[0], r[1]);
-  const ZPair b = zpair_from(r[2], r[3]);
+/// A quad of cells from the quad's draw words r0..r3 (draw128(key, quad, 0)),
+/// and the same drawing its own words (see erased_pair).
+inline void normal_quad(double mu, double sigma, std::uint32_t r0,
+                        std::uint32_t r1, std::uint32_t r2, std::uint32_t r3,
+                        double& c0, double& c1, double& c2,
+                        double& c3) noexcept {
+  const ZPair a = zpair_from(r0, r1);
+  const ZPair b = zpair_from(r2, r3);
   c0 = mu + sigma * a.z0;
   c1 = mu + sigma * a.z1;
   c2 = mu + sigma * b.z0;
   c3 = mu + sigma * b.z1;
+}
+
+inline void normal_quad(DrawKey key, double mu, double sigma,
+                        std::uint32_t quad, double& c0, double& c1,
+                        double& c2, double& c3) noexcept {
+  const auto r = draw128(key, quad, 0);
+  normal_quad(mu, sigma, r[0], r[1], r[2], r[3], c0, c1, c2, c3);
 }
 
 [[nodiscard]] inline double normal_cell(DrawKey key, double mu, double sigma,
@@ -134,16 +151,22 @@ inline void normal_quad(DrawKey key, double mu, double sigma,
 }
 
 // Same quad scheme as normal_quad: disturb needs only the deviate.
-inline void disturb_quad(DrawKey key, const DisturbParams& p,
-                         std::uint32_t quad, float& c0, float& c1, float& c2,
-                         float& c3) noexcept {
-  const auto r = draw128(key, quad, 0);
-  const ZPair a = zpair_from(r[0], r[1]);
-  const ZPair b = zpair_from(r[2], r[3]);
+inline void disturb_quad(const DisturbParams& p, std::uint32_t r0,
+                         std::uint32_t r1, std::uint32_t r2, std::uint32_t r3,
+                         float& c0, float& c1, float& c2, float& c3) noexcept {
+  const ZPair a = zpair_from(r0, r1);
+  const ZPair b = zpair_from(r2, r3);
   c0 = disturb_from(p, c0, a.z0);
   c1 = disturb_from(p, c1, a.z1);
   c2 = disturb_from(p, c2, b.z0);
   c3 = disturb_from(p, c3, b.z1);
+}
+
+inline void disturb_quad(DrawKey key, const DisturbParams& p,
+                         std::uint32_t quad, float& c0, float& c1, float& c2,
+                         float& c3) noexcept {
+  const auto r = draw128(key, quad, 0);
+  disturb_quad(p, r[0], r[1], r[2], r[3], c0, c1, c2, c3);
 }
 
 [[nodiscard]] inline float disturb_cell(DrawKey key, const DisturbParams& p,

@@ -22,6 +22,78 @@
 #include "cell_ops.hpp"
 
 namespace stash::kernels {
+namespace {
+
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+constexpr std::uint32_t kBlock = 16;  // groups per draw128x16 block
+
+/// hi and lo halves of the sixteen 32x32->64 products a[i] * m.
+/// vpmuludq multiplies the even 32-bit lanes; the odd lanes go through it
+/// shifted down, and the halves are blended back into place.  The
+/// zero-masked forms with a full mask are the plain instructions; GCC 12's
+/// unmasked wrappers trip -Wuninitialized on their undefined pass-through.
+inline void mulhilo16(__m512i a, __m512i m, __m512i& hi, __m512i& lo) {
+  constexpr __mmask8 kAll = 0xFF;
+  const __m512i even = _mm512_maskz_mul_epu32(kAll, a, m);
+  const __m512i odd =
+      _mm512_maskz_mul_epu32(kAll, _mm512_maskz_srli_epi64(kAll, a, 32), m);
+  hi = _mm512_mask_blend_epi32(0xAAAA, _mm512_maskz_srli_epi64(kAll, even, 32),
+                               odd);
+  lo = _mm512_mask_blend_epi32(0xAAAA, even,
+                               _mm512_maskz_slli_epi64(kAll, odd, 32));
+}
+
+inline void philox16(DrawKey key, std::uint32_t first, std::uint32_t sub,
+                     Draw16& out) noexcept {
+  const __m512i m0 = _mm512_set1_epi32(static_cast<int>(detail::kPhiloxM0));
+  const __m512i m1 = _mm512_set1_epi32(static_cast<int>(detail::kPhiloxM1));
+  __m512i c0 = _mm512_add_epi32(
+      _mm512_set1_epi32(static_cast<int>(first)),
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+  __m512i c1 = _mm512_set1_epi32(static_cast<int>(sub));
+  __m512i c2 = _mm512_set1_epi32(0x5741);  // draw128's domain constant
+  __m512i c3 = _mm512_setzero_si512();
+  std::uint32_t k0 = key.k0, k1 = key.k1;
+  for (int round = 0; round < 10; ++round) {
+    __m512i hi0, lo0, hi1, lo1;
+    mulhilo16(c0, m0, hi0, lo0);
+    mulhilo16(c2, m1, hi1, lo1);
+    c0 = _mm512_xor_si512(_mm512_xor_si512(hi1, c1),
+                          _mm512_set1_epi32(static_cast<int>(k0)));
+    c1 = lo1;
+    c2 = _mm512_xor_si512(_mm512_xor_si512(hi0, c3),
+                          _mm512_set1_epi32(static_cast<int>(k1)));
+    c3 = lo0;
+    k0 += detail::kPhiloxW0;
+    k1 += detail::kPhiloxW1;
+  }
+  _mm512_store_si512(out.w[0], c0);
+  _mm512_store_si512(out.w[1], c1);
+  _mm512_store_si512(out.w[2], c2);
+  _mm512_store_si512(out.w[3], c3);
+}
+#endif
+
+}  // namespace
+
+void draw128x16(DrawKey key, std::uint32_t first, std::uint32_t sub,
+                Draw16& out) noexcept {
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+  philox16(key, first, sub, out);
+#else
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    const auto r = draw128(key, first + i, sub);
+    for (std::uint32_t j = 0; j < 4; ++j) out.w[j][i] = r[j];
+  }
+#endif
+}
+
+// The normal-drawing kernels below share one loop shape: with AVX-512,
+// whole blocks of kBlock groups draw through philox16 and then run the
+// per-group body over the sixteen draws as one SIMD loop; the remaining
+// groups (every group in other builds) keep the one-draw-per-group loop.
+// Written out per kernel rather than as a shared template taking the body
+// as a lambda: GCC 12 de-vectorizes the float kernels' loops in that form.
 
 void erased_fill(DrawKey key, const ErasedParams& p, float* row,
                  std::uint32_t cell0, std::uint32_t n) noexcept {
@@ -35,8 +107,21 @@ void erased_fill(DrawKey key, const ErasedParams& p, float* row,
   const std::uint32_t pairs = (end - c) / 2;
   const std::uint32_t pair0 = c >> 1;
   float* out = row + (c - cell0);
+  std::uint32_t i0 = 0;
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+  Draw16 d;
+  for (; i0 + kBlock <= pairs; i0 += kBlock) {
+    philox16(key, pair0 + i0, 0, d);
+    float* o = out + 2 * i0;
 #pragma omp simd
-  for (std::uint32_t i = 0; i < pairs; ++i) {
+    for (std::uint32_t j = 0; j < kBlock; ++j) {
+      detail::erased_pair(p, inv_tail_prob, d.w[0][j], d.w[1][j], d.w[2][j],
+                          d.w[3][j], o[2 * j], o[2 * j + 1]);
+    }
+  }
+#endif
+#pragma omp simd
+  for (std::uint32_t i = i0; i < pairs; ++i) {
     detail::erased_pair(key, p, inv_tail_prob, pair0 + i, out[2 * i],
                         out[2 * i + 1]);
   }
@@ -57,8 +142,22 @@ void normal_row(DrawKey key, double mu, double sigma, double* out,
   const std::uint32_t quads = (end - c) / 4;
   const std::uint32_t quad0 = c >> 2;
   double* o = out + (c - cell0);
+  std::uint32_t i0 = 0;
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+  Draw16 d;
+  for (; i0 + kBlock <= quads; i0 += kBlock) {
+    philox16(key, quad0 + i0, 0, d);
+    double* b = o + 4 * i0;
 #pragma omp simd
-  for (std::uint32_t i = 0; i < quads; ++i) {
+    for (std::uint32_t j = 0; j < kBlock; ++j) {
+      detail::normal_quad(mu, sigma, d.w[0][j], d.w[1][j], d.w[2][j],
+                          d.w[3][j], b[4 * j], b[4 * j + 1], b[4 * j + 2],
+                          b[4 * j + 3]);
+    }
+  }
+#endif
+#pragma omp simd
+  for (std::uint32_t i = i0; i < quads; ++i) {
     detail::normal_quad(key, mu, sigma, quad0 + i, o[4 * i], o[4 * i + 1],
                         o[4 * i + 2], o[4 * i + 3]);
   }
@@ -90,8 +189,22 @@ void disturb_row(DrawKey key, const DisturbParams& p, float* row,
   const std::uint32_t quads = (end - c) / 4;
   const std::uint32_t quad0 = c >> 2;
   float* r = row + (c - cell0);
+  std::uint32_t i0 = 0;
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+  Draw16 d;
+  for (; i0 + kBlock <= quads; i0 += kBlock) {
+    philox16(key, quad0 + i0, 0, d);
+    float* b = r + 4 * i0;
 #pragma omp simd
-  for (std::uint32_t i = 0; i < quads; ++i) {
+    for (std::uint32_t j = 0; j < kBlock; ++j) {
+      detail::disturb_quad(p, d.w[0][j], d.w[1][j], d.w[2][j], d.w[3][j],
+                           b[4 * j], b[4 * j + 1], b[4 * j + 2],
+                           b[4 * j + 3]);
+    }
+  }
+#endif
+#pragma omp simd
+  for (std::uint32_t i = i0; i < quads; ++i) {
     detail::disturb_quad(key, p, quad0 + i, r[4 * i], r[4 * i + 1],
                          r[4 * i + 2], r[4 * i + 3]);
   }

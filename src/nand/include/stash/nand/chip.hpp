@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -262,6 +263,12 @@ class FlashChip {
     std::uint64_t epoch = 0;
     std::uint32_t pec = 0;
     std::uint32_t next_program_page = 0;
+    /// Per page, its weak cells in ascending order once listed.  Weakness
+    /// is a permanent trait of (seed, block, page, cell), so the list is
+    /// computed on the page's first program and kept across erases.  It is
+    /// derived, not state: serialization and state_digest() leave it out,
+    /// and a restored block lists its pages again.
+    std::vector<std::optional<std::vector<std::uint32_t>>> weak_cells;
   };
 
   /// Fixed-point ledger accumulator: integer adds commute, so the totals a
@@ -299,8 +306,9 @@ class FlashChip {
                                       std::uint32_t page) const noexcept;
   [[nodiscard]] double cell_speed(std::uint32_t block, std::uint32_t page,
                                   std::uint32_t cell) const noexcept;
-  [[nodiscard]] bool cell_is_weak(std::uint32_t block, std::uint32_t page,
-                                  std::uint32_t cell) const noexcept;
+  /// The page's weak cells (the cached list, computed on first use).
+  const std::vector<std::uint32_t>& weak_cells(Block& blk, std::uint32_t block,
+                                               std::uint32_t page);
   // (The per-cell leak factor lives in kernels::leak_row now — retention is
   // a stateless trait, computed where it is applied.)
 

@@ -35,13 +35,13 @@ using util::Xoshiro256;
 // Stateless trait hashes live in stash::kernels now so the batch kernels
 // and FlashChip's sparse paths share one (bit-compatible) definition.
 using kernels::hash_normal;
-using kernels::hash_uniform;
 
 constexpr double kVmax = 255.0;
 
 /// Thread-local batch scratch: program_page draws a full page of targets
-/// and a weak-cell mask per call; reusing the buffers keeps the hot path
-/// allocation-free after the first page on each thread.
+/// per call (and a weak-cell mask on a page's first program); reusing the
+/// buffers keeps the hot path allocation-free after the first page on each
+/// thread.
 struct Scratch {
   std::vector<double> targets;
   std::vector<std::uint8_t> weak;
@@ -188,10 +188,23 @@ double FlashChip::cell_speed(std::uint32_t block, std::uint32_t page,
                    hash_normal(hash_words(seed_, 0x59EEDULL, block, page, cell));
 }
 
-bool FlashChip::cell_is_weak(std::uint32_t block, std::uint32_t page,
-                             std::uint32_t cell) const noexcept {
-  return hash_uniform(hash_words(seed_, 0x3EAFULL, block, page, cell)) <
-         noise_.weak_cell_prob;
+const std::vector<std::uint32_t>& FlashChip::weak_cells(Block& blk,
+                                                        std::uint32_t block,
+                                                        std::uint32_t page) {
+  if (blk.weak_cells.empty()) blk.weak_cells.resize(geom_.pages_per_block);
+  std::optional<std::vector<std::uint32_t>>& list = blk.weak_cells[page];
+  if (!list) {
+    const std::uint32_t cells = geom_.cells_per_page;
+    Scratch& s = scratch();
+    s.weak.resize(cells);
+    kernels::weak_mask(seed_, block, page, noise_.weak_cell_prob,
+                       s.weak.data(), 0, cells);
+    list.emplace();
+    for (std::uint32_t c = 0; c < cells; ++c) {
+      if (s.weak[c]) list->push_back(c);
+    }
+  }
+  return *list;
 }
 
 double FlashChip::effective_speed(std::uint32_t block, std::uint32_t page,
@@ -338,21 +351,16 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
       seed_, kernels::Op::kProgramTarget, block, page, blk.epoch);
   Scratch& s = scratch();
   s.targets.resize(cells);
-  s.weak.resize(cells);
   // Batch-draw nominal targets for every cell (sub-stream 0), then
   // overwrite the rare weak cells from sub-stream 1: weak cells program
   // low, and wear makes them weaker still — the public-data BER growth of
-  // §8.  Drawing all cells and masking afterwards keeps the loop dense;
+  // §8.  Drawing all cells and overwriting afterwards keeps the loop dense;
   // counter-based draws make the unused targets free of side effects.
   kernels::normal_row(tkey, mu, sigma, s.targets.data(), 0, cells);
-  kernels::weak_mask(seed_, block, page, noise_.weak_cell_prob, s.weak.data(),
-                     0, cells);
-  for (std::uint32_t c = 0; c < cells; ++c) {
-    if (s.weak[c]) {
-      s.targets[c] = kernels::normal_at(tkey, c, 1,
-                                        noise_.weak_cell_mu - 2.0 * wear_k,
-                                        noise_.weak_cell_sigma);
-    }
+  for (const std::uint32_t c : weak_cells(blk, block, page)) {
+    s.targets[c] = kernels::normal_at(tkey, c, 1,
+                                      noise_.weak_cell_mu - 2.0 * wear_k,
+                                      noise_.weak_cell_sigma);
   }
   // ISPP apply: never lowers a cell's voltage; an interrupted program only
   // moves each cell `frac` of the way toward its target.  Data-'1' cells

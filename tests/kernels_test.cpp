@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -18,6 +19,7 @@
 
 #include "stash/kernels/kernels.hpp"
 #include "stash/kernels/philox.hpp"
+#include "stash/kernels/vmath.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/nand/noise.hpp"
 #include "stash/par/pool.hpp"
@@ -99,6 +101,60 @@ TEST(Philox, UniformHelpersStayInRange) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
     EXPECT_LT(bounded(u64_of(r[2], r[3]), 977), 977u);
+  }
+}
+
+TEST(Philox, SixteenWideMatchesDraw128) {
+  // Unaligned starts, a start whose sixteen counters wrap past 2^32, and
+  // more than one sub-stream.
+  for (const std::uint32_t sub : {0u, 1u, 7u}) {
+    for (const std::uint32_t first :
+         {0u, 1u, 5u, 13u, 4099u, 0x7FFFFFF9u, 0xFFFFFFF8u}) {
+      const DrawKey key = derive_key(kSeed, Op::kDisturb, first, sub, 3);
+      Draw16 d;
+      draw128x16(key, first, sub, d);
+      for (std::uint32_t i = 0; i < 16; ++i) {
+        const auto r = draw128(key, first + i, sub);
+        for (std::uint32_t j = 0; j < 4; ++j) {
+          ASSERT_EQ(d.w[j][i], r[j])
+              << "first=" << first << " sub=" << sub << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// vsincos2pi's sin is defined as vcos2pi(u + 0.75); this is that definition,
+// kept here as the reference the shared-reduction form must match.
+double sin2pi_reference(double u) { return vcos2pi(u + 0.75); }
+
+void expect_sincos_matches(double u) {
+  double c = 0.0, s = 0.0;
+  vsincos2pi(u, c, s);
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(c),
+            std::bit_cast<std::uint64_t>(vcos2pi(u)))
+      << "u=" << u;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(s),
+            std::bit_cast<std::uint64_t>(sin2pi_reference(u)))
+      << "u=" << u;
+}
+
+TEST(VMath, SinCosMatchesCosAndShiftedCos) {
+  // A stride through the 2^32 phase lattice the draws produce.
+  for (std::uint64_t w = 0; w < (1ULL << 32); w += 4093) {
+    expect_sincos_matches(static_cast<double>(w) * 0x1.0p-32);
+  }
+  // The top of the lattice and every quadrant boundary (4u + 0.5 an
+  // integer: u = 1/8, 3/8, 5/8, 7/8) +-4 steps, on the 2^-32 lattice and on
+  // the finest grid the exactness argument covers (2^-52).
+  expect_sincos_matches(0xFFFFFFFFp-32);
+  for (const double b : {0.0, 0.125, 0.375, 0.625, 0.875}) {
+    for (int d = -4; d <= 4; ++d) {
+      for (const double step : {0x1.0p-32, 0x1.0p-52}) {
+        const double u = b + d * step;
+        if (u >= 0.0 && u < 1.0) expect_sincos_matches(u);
+      }
+    }
   }
 }
 
