@@ -479,23 +479,23 @@ class StashDevice {
   // Per-instance counters (mirrored into the global "dev.*" registry
   // instruments inside device.cpp).
   struct Counters {
-    telemetry::Counter reads;
-    telemetry::Counter writes;
-    telemetry::Counter trims;
-    telemetry::Counter buffer_hits;
-    telemetry::Counter coalesced_writes;
-    telemetry::Counter coalesced_reads;
-    telemetry::Counter dispatches;
-    telemetry::Counter deadline_dispatches;
-    telemetry::Counter flushes;
-    telemetry::Counter flushed_pages;
-    telemetry::Counter lost;
-    telemetry::Counter gc_runs;
-    telemetry::Counter hidden_stores;
-    telemetry::Counter hidden_loads;
-    telemetry::Counter pack_logical_bytes;
-    telemetry::Counter pack_packed_bytes;
-    telemetry::Counter bytes_copied;
+    telemetry::StatCounter reads;
+    telemetry::StatCounter writes;
+    telemetry::StatCounter trims;
+    telemetry::StatCounter buffer_hits;
+    telemetry::StatCounter coalesced_writes;
+    telemetry::StatCounter coalesced_reads;
+    telemetry::StatCounter dispatches;
+    telemetry::StatCounter deadline_dispatches;
+    telemetry::StatCounter flushes;
+    telemetry::StatCounter flushed_pages;
+    telemetry::StatCounter lost;
+    telemetry::StatCounter gc_runs;
+    telemetry::StatCounter hidden_stores;
+    telemetry::StatCounter hidden_loads;
+    telemetry::StatCounter pack_logical_bytes;
+    telemetry::StatCounter pack_packed_bytes;
+    telemetry::StatCounter bytes_copied;
   };
   Counters counters_;
   /// One destage worker per chip (none in write-through mode); declared

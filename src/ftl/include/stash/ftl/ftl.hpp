@@ -46,9 +46,9 @@ struct FtlConfig {
   [[nodiscard]] Status validate() const;
 };
 
-/// Point-in-time FTL statistics.  Assembled on demand from the telemetry
-/// counters that now back the FTL (see PageMappedFtl::stats()); in builds
-/// compiled with STASH_TELEMETRY_DISABLED every field reads zero.
+/// Point-in-time FTL statistics.  Assembled on demand from the FTL's
+/// per-instance StatCounters (see PageMappedFtl::stats_snapshot()), which
+/// count in every build.
 struct FtlStats {
   std::uint64_t host_writes = 0;   // pages written by the host
   std::uint64_t nand_writes = 0;   // pages physically programmed
@@ -228,13 +228,13 @@ class PageMappedFtl {
   // cannot live in the global registry).  Mutations also mirror into the
   // process-wide "ftl.*" registry counters; see ftl.cpp.
   struct Counters {
-    telemetry::Counter host_writes;
-    telemetry::Counter nand_writes;
-    telemetry::Counter gc_runs;
-    telemetry::Counter relocations;
-    telemetry::Counter wear_swaps;
-    telemetry::Counter program_fail_rewrites;
-    telemetry::Counter grown_bad_blocks;
+    telemetry::StatCounter host_writes;
+    telemetry::StatCounter nand_writes;
+    telemetry::StatCounter gc_runs;
+    telemetry::StatCounter relocations;
+    telemetry::StatCounter wear_swaps;
+    telemetry::StatCounter program_fail_rewrites;
+    telemetry::StatCounter grown_bad_blocks;
   };
   Counters counters_;
 };

@@ -13,10 +13,12 @@
 //
 // Compile-time kill switch: configure with -DSTASH_TELEMETRY_DISABLED=ON
 // (which defines the macro of the same name for the whole build) and every
-// mutating operation compiles to an empty inline function — zero storage,
-// zero instructions, no atomics.  Snapshots then report zeros.  Note that
-// the FTL/stego convenience stats (FtlStats, StegoStats) are backed by the
-// same instruments and read as zero in a disabled build.
+// mutating operation of the registry instruments (Counter, Gauge,
+// LatencyHistogram, ScopedTimer) compiles to an empty inline function —
+// zero storage, zero instructions, no atomics.  Registry snapshots then
+// report zeros.  The per-instance StatCounters behind the stats APIs
+// (FtlStats, DeviceStats, stats_json(), the wire stats op) are not
+// telemetry but part of those APIs, and count in every build.
 
 #include <atomic>
 #include <chrono>
@@ -27,7 +29,23 @@
 
 namespace stash::telemetry {
 
-/// Monotonic event count.  Increment is one relaxed atomic add.
+/// Per-instance monotonic event count behind a stats API.  Counts in every
+/// build, telemetry-disabled included.  Increment is one relaxed atomic add.
+class StatCounter {
+ public:
+  void inc(std::uint64_t delta = 1) noexcept {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
+};
+
+/// Monotonic event count in a registry.  Increment is one relaxed atomic
+/// add.
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept {

@@ -363,9 +363,7 @@ TEST(DevCache, CoalescedReadsCountOneMissPerUniqueLpn) {
   const auto stats = dev.stats_snapshot();
   EXPECT_EQ(stats.cache_misses, 1u);  // one probe for the one unique lpn
   EXPECT_EQ(stats.cache_hits, 0u);    // duplicates coalesce, they don't hit
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_EQ(stats.coalesced_reads, 3u);
-#endif
 
   // The next round really does hit the cache — the accounting above is
   // coalescing, not a disabled cache.
@@ -500,9 +498,7 @@ TEST(DevScheduler, IdleTicksCompleteAStarvedReadWithoutNewSubmissions) {
   ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_TRUE(read.get().is_ok());
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_GE(dev.stats_snapshot().deadline_dispatches, 1u);
-#endif
   EXPECT_EQ(dev.idle_tick(), 0u);  // empty queue: a cheap no-op
 }
 
@@ -954,9 +950,7 @@ TEST(DevDestage, WritePastTheBoundStaysPendingUntilTheDestageCompletes) {
   StashDevice& dev = gated.dev;
   ProgramGate& gate = gated.gate;
   start_held_destage(dev, gate);
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_EQ(dev.stats_snapshot().flushes, 1u);
-#endif
 
   // The next half fills and seals without waiting...
   auto w2 = dev.submit_write(2, version(dev, 2, 1));
@@ -1041,9 +1035,7 @@ TEST(DevDestage, ReadsServeTheDestagingHalfAndPendingWrites) {
   exact(2, 1);  // sealed open half
   exact(4, 1);  // pending write
   EXPECT_EQ(dev.ledger().reads, flash_reads);  // never touched flash
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_EQ(dev.stats_snapshot().buffer_hits, hits_before + 4);
-#endif
 
   gate.open();
   EXPECT_TRUE(w1.get().is_ok());
@@ -1065,9 +1057,7 @@ TEST(DevDestage, FlushWaitsForTheInFlightDestage) {
             std::future_status::timeout);
   gate.open();
   EXPECT_TRUE(flushed.get().is_ok());
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_EQ(dev.stats_snapshot().flushed_pages, 2u);
-#endif
   const auto flash_reads = dev.ledger().reads;
   for (std::uint64_t lpn = 0; lpn < 2; ++lpn) {
     auto r = dev.read(lpn);

@@ -314,9 +314,7 @@ TEST(Ftl, ReadsOverlapWritesAndGc) {
 
   EXPECT_GT(reads.load(), 0u);
   EXPECT_EQ(bad.load(), 0u);
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_GT(ftl.stats_snapshot().gc_runs, 0u);
-#endif
   for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
     const auto r = ftl.read(lpn);
     ASSERT_TRUE(r.is_ok());
