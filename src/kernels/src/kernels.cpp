@@ -22,9 +22,10 @@
 #include "cell_ops.hpp"
 
 namespace stash::kernels {
-namespace {
 
 #if defined(__AVX512F__) && defined(__AVX512BW__)
+namespace {
+
 constexpr std::uint32_t kBlock = 16;  // groups per draw128x16 block
 
 /// hi and lo halves of the sixteen 32x32->64 products a[i] * m.
@@ -43,8 +44,12 @@ inline void mulhilo16(__m512i a, __m512i m, __m512i& hi, __m512i& lo) {
                                _mm512_maskz_slli_epi64(kAll, odd, 32));
 }
 
-inline void philox16(DrawKey key, std::uint32_t first, std::uint32_t sub,
-                     Draw16& out) noexcept {
+}  // namespace
+#endif
+
+void draw128x16(DrawKey key, std::uint32_t first, std::uint32_t sub,
+                Draw16& out) noexcept {
+#if defined(__AVX512F__) && defined(__AVX512BW__)
   const __m512i m0 = _mm512_set1_epi32(static_cast<int>(detail::kPhiloxM0));
   const __m512i m1 = _mm512_set1_epi32(static_cast<int>(detail::kPhiloxM1));
   __m512i c0 = _mm512_add_epi32(
@@ -71,15 +76,6 @@ inline void philox16(DrawKey key, std::uint32_t first, std::uint32_t sub,
   _mm512_store_si512(out.w[1], c1);
   _mm512_store_si512(out.w[2], c2);
   _mm512_store_si512(out.w[3], c3);
-}
-#endif
-
-}  // namespace
-
-void draw128x16(DrawKey key, std::uint32_t first, std::uint32_t sub,
-                Draw16& out) noexcept {
-#if defined(__AVX512F__) && defined(__AVX512BW__)
-  philox16(key, first, sub, out);
 #else
   for (std::uint32_t i = 0; i < 16; ++i) {
     const auto r = draw128(key, first + i, sub);
@@ -89,7 +85,7 @@ void draw128x16(DrawKey key, std::uint32_t first, std::uint32_t sub,
 }
 
 // The normal-drawing kernels below share one loop shape: with AVX-512,
-// whole blocks of kBlock groups draw through philox16 and then run the
+// whole blocks of kBlock groups draw through draw128x16 and then run the
 // per-group body over the sixteen draws as one SIMD loop; the remaining
 // groups (every group in other builds) keep the one-draw-per-group loop.
 // Written out per kernel rather than as a shared template taking the body
@@ -111,7 +107,7 @@ void erased_fill(DrawKey key, const ErasedParams& p, float* row,
 #if defined(__AVX512F__) && defined(__AVX512BW__)
   Draw16 d;
   for (; i0 + kBlock <= pairs; i0 += kBlock) {
-    philox16(key, pair0 + i0, 0, d);
+    draw128x16(key, pair0 + i0, 0, d);
     float* o = out + 2 * i0;
 #pragma omp simd
     for (std::uint32_t j = 0; j < kBlock; ++j) {
@@ -146,7 +142,7 @@ void normal_row(DrawKey key, double mu, double sigma, double* out,
 #if defined(__AVX512F__) && defined(__AVX512BW__)
   Draw16 d;
   for (; i0 + kBlock <= quads; i0 += kBlock) {
-    philox16(key, quad0 + i0, 0, d);
+    draw128x16(key, quad0 + i0, 0, d);
     double* b = o + 4 * i0;
 #pragma omp simd
     for (std::uint32_t j = 0; j < kBlock; ++j) {
@@ -193,7 +189,7 @@ void disturb_row(DrawKey key, const DisturbParams& p, float* row,
 #if defined(__AVX512F__) && defined(__AVX512BW__)
   Draw16 d;
   for (; i0 + kBlock <= quads; i0 += kBlock) {
-    philox16(key, quad0 + i0, 0, d);
+    draw128x16(key, quad0 + i0, 0, d);
     float* b = r + 4 * i0;
 #pragma omp simd
     for (std::uint32_t j = 0; j < kBlock; ++j) {
