@@ -13,7 +13,9 @@
 // BCH decode MB/s, device read p99).  --trajectory FILE appends one dated
 // markdown row per run (date from $STASH_DATE when set, so tests stay
 // reproducible) — EXPERIMENTS.md keeps the history, BENCH_perf.json the
-// head.
+// head.  Each JSON also records its provenance (cpu_model, compiler,
+// cxx_flags, mode, divisor, commit) as strings and numbers --check never
+// gates on, so a baseline with or without them checks the same.
 //
 // Determinism: --state-checksum prints an FNV-1a checksum of every voltage
 // probed after the timed phases.  The checksum is byte-identical for any
@@ -355,11 +357,46 @@ bool append_trajectory_row(const std::string& path, const PerfResult& r) {
   return true;
 }
 
-std::string to_json(const PerfResult& r) {
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// `s` as a JSON string literal (quotes and backslashes escaped, control
+/// characters blanked).
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
+  }
+  return out + '"';
+}
+
+#ifdef __clang__
+constexpr const char* kCompiler = __VERSION__;  // "Clang x.y.z ..."
+#else
+constexpr const char* kCompiler = "GCC " __VERSION__;
+#endif
+
+std::string to_json(const PerfResult& r, const Options& opt) {
   std::ostringstream out;
   out << "{\n"
       << "  \"bench\": \"perf_baseline\",\n"
       << "  \"schema\": 1,\n"
+      << "  \"cpu_model\": " << json_string(cpu_model()) << ",\n"
+      << "  \"compiler\": " << json_string(kCompiler) << ",\n"
+      << "  \"cxx_flags\": " << json_string(STASH_CXX_FLAGS) << ",\n"
+      << "  \"mode\": \"" << (opt.quick ? "quick" : "full") << "\",\n"
+      << "  \"divisor\": " << opt.divisor << ",\n"
+      << "  \"commit\": " << json_string(STASH_GIT_COMMIT) << ",\n"
       << "  \"threads\": " << r.threads << ",\n"
       << "  \"cells_per_page\": " << r.cells_per_page << ",\n"
       << "  \"ns_per_cell_program\": " << r.ns_per_cell_program << ",\n"
@@ -487,7 +524,7 @@ int main(int argc, char** argv) {
   std::printf("%-24s %016" PRIx64 "\n", "state checksum",
               result.state_checksum);
 
-  const std::string json = to_json(result);
+  const std::string json = to_json(result, opt);
   std::ofstream out(out_path);
   out << json;
   std::printf("\nwrote %s\n", out_path.c_str());

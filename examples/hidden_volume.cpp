@@ -74,13 +74,14 @@ int main() {
       }
     }
     (void)volume.reembed_pending();
+    const ftl::FtlStats fs = volume.ftl().stats_snapshot();
     std::printf("after churn: GC runs %llu, chunk rescues %llu, re-embeds "
                 "%llu, lost %llu (write amplification %.2f)\n",
-                static_cast<unsigned long long>(volume.ftl_stats_snapshot().gc_runs),
+                static_cast<unsigned long long>(fs.gc_runs),
                 static_cast<unsigned long long>(volume.stats().rescues),
                 static_cast<unsigned long long>(volume.stats().reembeds),
                 static_cast<unsigned long long>(volume.stats().lost_chunks),
-                volume.ftl_stats_snapshot().write_amplification());
+                fs.write_amplification());
   }
 
   // --- Session 2: a fresh mount with nothing but the key -----------------

@@ -18,33 +18,11 @@ using util::ErrorCode;
 
 namespace {
 
-// Process-wide mirrors of the per-instance counters plus the instruments
-// that only make sense globally (latency histograms, queue-depth gauge).
+// The instruments with no per-instance home in DeviceStats: wall-clock
+// latency histograms and the queue and write-back buffer gauges.
 struct DevTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& reads = reg.counter("dev.reads");
-  telemetry::Counter& writes = reg.counter("dev.writes");
-  telemetry::Counter& trims = reg.counter("dev.trims");
-  telemetry::Counter& cache_hits = reg.counter("dev.cache_hits");
-  telemetry::Counter& cache_misses = reg.counter("dev.cache_misses");
-  telemetry::Counter& buffer_hits = reg.counter("dev.buffer_hits");
-  telemetry::Counter& coalesced_writes = reg.counter("dev.coalesced_writes");
-  telemetry::Counter& coalesced_reads = reg.counter("dev.coalesced_reads");
-  telemetry::Counter& dispatches = reg.counter("dev.dispatches");
-  telemetry::Counter& deadline_dispatches =
-      reg.counter("dev.deadline_dispatches");
-  telemetry::Counter& flushes = reg.counter("dev.flushes");
-  telemetry::Counter& flushed_pages = reg.counter("dev.flushed_pages");
-  telemetry::Counter& lost_writes = reg.counter("dev.lost_writes");
-  telemetry::Counter& gc_runs = reg.counter("dev.gc_runs");
-  telemetry::Counter& hidden_stores = reg.counter("dev.hidden_stores");
-  telemetry::Counter& hidden_loads = reg.counter("dev.hidden_loads");
-  telemetry::Counter& pack_logical_bytes =
-      reg.counter("dev.pack_logical_bytes");
-  telemetry::Counter& pack_packed_bytes = reg.counter("dev.pack_packed_bytes");
-  telemetry::Counter& bytes_copied = reg.counter("dev.bytes_copied");
   telemetry::Gauge& queue_depth = reg.gauge("dev.queue_depth");
-  telemetry::Gauge& cache_hit_ratio = reg.gauge("dev.cache_hit_ratio");
   telemetry::Gauge& buffered_pages = reg.gauge("dev.buffered_pages");
   // Acked-but-not-durable writes staged in the write-back buffer (excludes
   // trim tombstones): what a power cut right now would report lost.
@@ -72,18 +50,12 @@ DevTelemetry& dev_telemetry() {
   return t;
 }
 
-/// Nanoseconds since a request's submission (0 in telemetry-disabled
-/// builds, where the histograms are compiled out anyway).
+/// Nanoseconds since a request's submission, for the latency histograms.
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-#ifndef STASH_TELEMETRY_DISABLED
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
-#else
-  (void)start;
-  return 0;
-#endif
 }
 
 // Device-level framing of one per-chip hidden segment: the hidden payload
@@ -250,25 +222,17 @@ std::uint64_t StashDevice::sim_now() const noexcept {
 }
 
 std::uint64_t StashDevice::trace_now() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
   if (trace::Tracer::global().clock_mode() == trace::ClockMode::kVirtual) {
     return sim_now();
   }
   return trace::detail::wall_now_ns();
-#else
-  return 0;
-#endif
 }
 
 std::uint64_t StashDevice::staging_now() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
   if (trace::Tracer::global().clock_mode() == trace::ClockMode::kVirtual) {
     return 0;
   }
   return trace::detail::wall_now_ns();
-#else
-  return 0;
-#endif
 }
 
 trace::TraceContext StashDevice::new_request_trace(trace::Op op,
@@ -348,7 +312,6 @@ void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
     dispatch(lock);
   } else if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
     counters_.deadline_dispatches.inc();
-    dev_telemetry().deadline_dispatches.inc();
     dispatch(lock);
   }
 }
@@ -386,10 +349,8 @@ std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
   auto& tel = dev_telemetry();
   if (write.trim) {
     counters_.trims.inc();
-    tel.trims.inc();
   } else {
     counters_.writes.inc();
-    tel.writes.inc();
   }
   tel.queue_depth.set(static_cast<double>(queue_.size()));
   write.trace = new_request_trace(op, lpn);
@@ -445,7 +406,6 @@ std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
   if (!queue_.empty() &&
       tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
     counters_.deadline_dispatches.inc();
-    tel.deadline_dispatches.inc();
     dispatch(lock);
   }
   return fut;
@@ -498,7 +458,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   if (queue_.empty()) return;
   counters_.dispatches.inc();
   auto& tel = dev_telemetry();
-  tel.dispatches.inc();
   tel.dispatch_batch.record(queue_.size());
 
   // Dispatch-round trace: the shared execution machinery (batched reads,
@@ -597,10 +556,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
                          trace_now(), code);
     }
   }
-  tel.cache_hit_ratio.set(
-      static_cast<double>(cache_.hits()) /
-      std::max<double>(1.0, static_cast<double>(cache_.hits() +
-                                                cache_.misses())));
 
   if (round.active()) {
     // The round root: virtual duration is the sum of its children
@@ -672,7 +627,6 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         pending == pending_writes_.rend() ? buffer_.find(lpn) : nullptr;
     if (pending != pending_writes_.rend() || staged != nullptr) {
       counters_.buffer_hits.inc();
-      tel.buffer_hits.inc();
       std::uint8_t code = 0;
       if (staged ? staged->trim : pending->trim) {
         code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
@@ -684,7 +638,6 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
             Result<PageRef>{staged ? staged->bits : pending->bits});
       }
       counters_.reads.inc();
-      tel.reads.inc();
       tel.read_latency.record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, code);
       continue;
@@ -697,20 +650,16 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
     while (m < misses.size() && misses[m].lpn != lpn) ++m;
     if (m < misses.size()) {
       counters_.coalesced_reads.inc();
-      tel.coalesced_reads.inc();
       repeats.emplace_back(m, r);
       continue;
     }
     if (auto cached = cache_.lookup(lpn)) {
       counters_.reads.inc();
-      tel.reads.inc();
-      tel.cache_hits.inc();
       reads[r].value_promise.set_value(std::move(*cached));
       tel.read_latency.record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, 0);
       continue;
     }
-    tel.cache_misses.inc();
     misses.push_back(Miss{lpn, r});
   }
 
@@ -758,7 +707,6 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
       }
       const auto resolve = [&](std::size_t r) {
         counters_.reads.inc();
-        tel.reads.inc();
         reads[r].value_promise.set_value(outcome);
         tel.read_latency.record(elapsed_ns(reads[r].start));
         // Serial point after this chip's batch: the miss's service span
@@ -859,10 +807,6 @@ Status StashDevice::execute_store_hidden(std::span<const std::uint8_t> data) {
     counters_.hidden_stores.inc();
     counters_.pack_logical_bytes.inc(logical);
     counters_.pack_packed_bytes.inc(data.size());
-    auto& tel = dev_telemetry();
-    tel.hidden_stores.inc();
-    tel.pack_logical_bytes.inc(logical);
-    tel.pack_packed_bytes.inc(data.size());
   }
   return first;
 }
@@ -909,7 +853,6 @@ Result<StashDevice::RawHidden> StashDevice::load_hidden_raw() {
     // path (cross-chip splice into one contiguous payload); charge it so
     // bytes_copied stays an honest ledger.
     counters_.bytes_copied.inc(ordered[i]->payload.size());
-    dev_telemetry().bytes_copied.inc(ordered[i]->payload.size());
     raw.bytes.insert(raw.bytes.end(), ordered[i]->payload.begin(),
                      ordered[i]->payload.end());
   }
@@ -941,13 +884,11 @@ Result<std::vector<std::uint8_t>> StashDevice::execute_load_hidden() {
                       " newer than this build"};
   }
   counters_.hidden_loads.inc();
-  dev_telemetry().hidden_loads.inc();
   return out;
 }
 
 Status StashDevice::execute_gc() {
   counters_.gc_runs.inc();
-  dev_telemetry().gc_runs.inc();
   util::BatchStatus results;
   results.reserve(volumes_.size());
   for (auto& volume : volumes_) {
@@ -971,7 +912,6 @@ void StashDevice::admit_locked(PendingWrite& write) {
       (void)buffer_.put_trim(write.lpn);
     } else if (buffer_.put(write.lpn, std::move(write.bits))) {
       counters_.coalesced_writes.inc();
-      tel.coalesced_writes.inc();
     }
   }
   tel.write_admission_wait.record(elapsed_ns(write.start));
@@ -986,7 +926,6 @@ void StashDevice::admit_locked(PendingWrite& write) {
 void StashDevice::hand_off_locked() {
   const std::vector<WriteBackBuffer::Entry>& entries = buffer_.hand_off();
   counters_.flushes.inc();
-  dev_telemetry().flushes.inc();
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
     destage_.items[c].clear();
   }
@@ -1066,7 +1005,6 @@ void StashDevice::finish_destage_locked() {
     }
   }
   counters_.flushed_pages.inc(programmed);
-  tel.flushed_pages.inc(programmed);
   if (destage_error_.is_ok()) destage_error_ = first;
   tel.flush_latency.record(elapsed_ns(destage_.start));
   if (destage_.trace.active() && trace::enabled()) {
@@ -1157,7 +1095,6 @@ std::size_t StashDevice::idle_tick() {
   ++tick_;
   if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
     counters_.deadline_dispatches.inc();
-    dev_telemetry().deadline_dispatches.inc();
     dispatch(lock);
   }
   return queue_.size();
@@ -1211,7 +1148,6 @@ Status StashDevice::power_cycle() {
   for (const std::uint64_t lpn : buffer_.drop_all()) {
     lost_writes_.push_back(lpn);
     counters_.lost.inc();
-    dev_telemetry().lost_writes.inc();
   }
   destage_error_ = Status::ok();  // its entries are reported lost instead
   dev_telemetry().queue_depth.set(0.0);

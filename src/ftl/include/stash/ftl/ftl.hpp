@@ -47,8 +47,7 @@ struct FtlConfig {
 };
 
 /// Point-in-time FTL statistics.  Assembled on demand from the FTL's
-/// per-instance StatCounters (see PageMappedFtl::stats_snapshot()), which
-/// count in every build.
+/// per-instance counters (see PageMappedFtl::stats_snapshot()).
 struct FtlStats {
   std::uint64_t host_writes = 0;   // pages written by the host
   std::uint64_t nand_writes = 0;   // pages physically programmed
@@ -224,17 +223,17 @@ class PageMappedFtl {
   RelocationHook hook_;
   PreEraseHook pre_erase_hook_;
 
-  // Per-instance counters (gtest runs many FTLs in one process, so these
-  // cannot live in the global registry).  Mutations also mirror into the
-  // process-wide "ftl.*" registry counters; see ftl.cpp.
+  // Per-instance counters behind stats_snapshot(): the only count of each
+  // event (gtest runs many FTLs in one process, so these cannot live in the
+  // global registry).
   struct Counters {
-    telemetry::StatCounter host_writes;
-    telemetry::StatCounter nand_writes;
-    telemetry::StatCounter gc_runs;
-    telemetry::StatCounter relocations;
-    telemetry::StatCounter wear_swaps;
-    telemetry::StatCounter program_fail_rewrites;
-    telemetry::StatCounter grown_bad_blocks;
+    telemetry::Counter host_writes;
+    telemetry::Counter nand_writes;
+    telemetry::Counter gc_runs;
+    telemetry::Counter relocations;
+    telemetry::Counter wear_swaps;
+    telemetry::Counter program_fail_rewrites;
+    telemetry::Counter grown_bad_blocks;
   };
   Counters counters_;
 };

@@ -12,30 +12,6 @@ namespace stash::ftl {
 using nand::PageAddr;
 using util::ErrorCode;
 
-namespace {
-
-// Process-wide mirrors of the per-instance counters, so benchmark metric
-// sidecars and snapshots see aggregate FTL activity.
-struct FtlTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& host_writes = reg.counter("ftl.host_writes");
-  telemetry::Counter& nand_writes = reg.counter("ftl.nand_writes");
-  telemetry::Counter& gc_runs = reg.counter("ftl.gc_runs");
-  telemetry::Counter& relocations = reg.counter("ftl.relocations");
-  telemetry::Counter& wear_swaps = reg.counter("ftl.wear_swaps");
-  telemetry::Counter& program_fail_rewrites =
-      reg.counter("ftl.program_fail_rewrites");
-  telemetry::Counter& grown_bad_blocks = reg.counter("ftl.grown_bad_blocks");
-  telemetry::Gauge& write_amp = reg.gauge("ftl.write_amplification");
-};
-
-FtlTelemetry& ftl_telemetry() {
-  static FtlTelemetry t;
-  return t;
-}
-
-}  // namespace
-
 Status FtlConfig::validate() const {
   if (!(overprovision >= 0.0) || overprovision >= 1.0) {
     return {ErrorCode::kInvalidArgument,
@@ -121,7 +97,6 @@ Result<PageAddr> PageMappedFtl::program_with_recovery(
     // only an erase reclaims it.  Charge the failure to its block and place
     // the data elsewhere.
     counters_.program_fail_rewrites.inc();
-    ftl_telemetry().program_fail_rewrites.inc();
     note_program_failure(dst.block);
   }
   return Status{ErrorCode::kProgramFail, "page placement exhausted retries"};
@@ -141,7 +116,6 @@ Status PageMappedFtl::retire_block(std::uint32_t block) {
   if (bad_[block]) return Status::ok();
   bad_[block] = true;
   counters_.grown_bad_blocks.inc();
-  ftl_telemetry().grown_bad_blocks.inc();
   free_.erase(std::remove(free_.begin(), free_.end(), block), free_.end());
   if (active_block_ && *active_block_ == block) {
     active_block_.reset();
@@ -176,8 +150,6 @@ Status PageMappedFtl::drain_block(std::uint32_t block) {
     }
     counters_.nand_writes.inc();
     counters_.relocations.inc();
-    ftl_telemetry().nand_writes.inc();
-    ftl_telemetry().relocations.inc();
   }
   return Status::ok();
 }
@@ -216,10 +188,6 @@ Status PageMappedFtl::write(std::uint64_t lpn,
   }
   counters_.host_writes.inc();
   counters_.nand_writes.inc();
-  auto& tel = ftl_telemetry();
-  tel.host_writes.inc();
-  tel.nand_writes.inc();
-  tel.write_amp.set(stats_snapshot().write_amplification());
 
   STASH_RETURN_IF_ERROR(maybe_wear_level());
   return Status::ok();
@@ -425,7 +393,6 @@ Status PageMappedFtl::run_gc() {
     return {ErrorCode::kNoSpace, "insufficient slack to relocate GC victim"};
   }
   counters_.gc_runs.inc();
-  ftl_telemetry().gc_runs.inc();
   gc_active_ = true;
   trace::ScopedSpan span(trace::Stage::kFtlGc, trace::Op::kGc, victim);
   const Status status = relocate_block(victim);
@@ -458,7 +425,6 @@ Status PageMappedFtl::maybe_wear_level() {
   if (active_block_ && *active_block_ == coldest) return Status::ok();
   if (gc_active_) return Status::ok();
   counters_.wear_swaps.inc();
-  ftl_telemetry().wear_swaps.inc();
   gc_active_ = true;
   const Status status = relocate_block(coldest);
   gc_active_ = false;

@@ -334,9 +334,7 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
           ? std::clamp(fd.completed_fraction, 0.0, 1.0)
           : 0.5;
 
-#ifndef STASH_TELEMETRY_DISABLED
   const auto hot_start = std::chrono::steady_clock::now();
-#endif
   const double wear_k = static_cast<double>(blk.pec) / 1000.0;
   const double mu = noise_.prog_mu + chip_mu_offset() + block_mu_offset(block) +
                     page_mu_offset(block, page) +
@@ -375,7 +373,6 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
   blk.next_program_page = std::max(blk.next_program_page, page + 1);
 
   disturb_neighbors(blk, block, page, frac);
-#ifndef STASH_TELEMETRY_DISABLED
   {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - hot_start)
@@ -383,7 +380,6 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
     chip_telemetry().ns_per_cell.record(
         static_cast<std::uint64_t>(ns) / std::max<std::uint32_t>(1, cells));
   }
-#endif
 
   charge(costs_.program_us, costs_.program_uj);
   span.set_cost_us(costs_.program_us);
@@ -430,9 +426,7 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
   span.set_cost_us(costs_.read_us);
   const std::lock_guard<std::mutex> lock(block_lock(block));
   Block& blk = touch(block);
-#ifndef STASH_TELEMETRY_DISABLED
   const auto hot_start = std::chrono::steady_clock::now();
-#endif
   const std::uint32_t cells = geom_.cells_per_page;
   const float* row = blk.v.data() + static_cast<std::size_t>(page) * cells;
   kernels::threshold_row(row, vref, out.data(), cells);
@@ -462,7 +456,6 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
           0.0, kVmax));
     }
   }
-#ifndef STASH_TELEMETRY_DISABLED
   {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - hot_start)
@@ -470,7 +463,6 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
     chip_telemetry().ns_per_cell.record(
         static_cast<std::uint64_t>(ns) / std::max<std::uint32_t>(1, cells));
   }
-#endif
 
   charge(costs_.read_us, costs_.read_uj);
   ledger_->reads.fetch_add(1, std::memory_order_relaxed);

@@ -33,21 +33,12 @@ using util::ErrorCode;
 
 namespace {
 
-// Process-wide mirrors: cross-instance counters plus the instruments that
-// only make sense globally (wall-clock latency histograms, live-connection
-// gauge).  Wall values live ONLY here — the per-instance NetStats stays a
-// pure function of the byte streams (the deterministic-export contract).
+// The instruments with no per-instance home in NetStats: reactor idle
+// ticks, the live-connection gauge and wall-clock latency histograms.  Wall
+// values live ONLY here — the per-instance NetStats stays a pure function
+// of the byte streams (the deterministic-export contract).
 struct NetTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& accepted = reg.counter("net.accepted");
-  telemetry::Counter& disconnected = reg.counter("net.disconnected");
-  telemetry::Counter& rx_bytes = reg.counter("net.rx_bytes");
-  telemetry::Counter& tx_bytes = reg.counter("net.tx_bytes");
-  telemetry::Counter& requests = reg.counter("net.requests");
-  telemetry::Counter& responses = reg.counter("net.responses");
-  telemetry::Counter& dropped = reg.counter("net.dropped_responses");
-  telemetry::Counter& pipeline_stalls = reg.counter("net.pipeline_stalls");
-  telemetry::Counter& protocol_errors = reg.counter("net.protocol_errors");
   telemetry::Counter& idle_ticks = reg.counter("net.idle_ticks");
   telemetry::Gauge& active = reg.gauge("net.active_connections");
   telemetry::LatencyHistogram& read_latency =
@@ -182,7 +173,6 @@ struct Server::Impl {
     if (!window_open && !c.throttled && !c.close_after_flush) {
       c.throttled = true;
       bump([](NetStats& s) { ++s.pipeline_stalls; });
-      net_telemetry().pipeline_stalls.inc();
     } else if (window_open && c.throttled) {
       c.throttled = false;
     }
@@ -214,7 +204,6 @@ struct Server::Impl {
       }
       conns.emplace(fd, std::move(conn));
       bump([](NetStats& s) { ++s.accepted; });
-      net_telemetry().accepted.inc();
       net_telemetry().active.set(static_cast<double>(conns.size()));
     }
   }
@@ -224,7 +213,6 @@ struct Server::Impl {
   /// (something a drain round must resolve).
   bool handle_frame(Conn& c, std::span<const std::uint8_t> body) {
     bump([](NetStats& s) { ++s.requests; });
-    net_telemetry().requests.inc();
     Request req;
     if (const Status st = decode_request(body, req); !st.is_ok()) {
       protocol_error(c, st);
@@ -346,7 +334,6 @@ struct Server::Impl {
 
   void protocol_error(Conn& c, const Status& st) {
     bump([](NetStats& s) { ++s.protocol_errors; });
-    net_telemetry().protocol_errors.inc();
     Pending p;  // answer what can still be answered, then hang up
     p.ready.op = OpCode::kPing;
     p.ready.status = static_cast<std::uint8_t>(st.code());
@@ -384,7 +371,6 @@ struct Server::Impl {
         bump([&](NetStats& s) {
           s.rx_bytes += static_cast<std::uint64_t>(n);
         });
-        net_telemetry().rx_bytes.inc(static_cast<std::uint64_t>(n));
         c.assembler.feed({buf, static_cast<std::size_t>(n)});
         if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         continue;
@@ -452,7 +438,6 @@ struct Server::Impl {
       const Response resp = take_response(p);
       encode_response(resp, c.outbuf);
       bump([](NetStats& s) { ++s.responses; });
-      net_telemetry().responses.inc();
       latency_of(p.op).record(wall_elapsed_ns(p.start));
     }
   }
@@ -466,7 +451,6 @@ struct Server::Impl {
         bump([&](NetStats& s) {
           s.tx_bytes += static_cast<std::uint64_t>(n);
         });
-        net_telemetry().tx_bytes.inc(static_cast<std::uint64_t>(n));
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -501,7 +485,6 @@ struct Server::Impl {
         --in_flight;
         (void)take_response(p);  // consume, never abandon
         bump([](NetStats& s) { ++s.dropped; });
-        net_telemetry().dropped.inc();
       }
       it = z.pending.empty() ? zombies.erase(it) : std::next(it);
     }
@@ -520,7 +503,6 @@ struct Server::Impl {
       ::close(c.fd);
       c.fd = -1;
       bump([](NetStats& s) { ++s.disconnected; });
-      net_telemetry().disconnected.inc();
       if (!c.pending.empty()) zombies.push_back(std::move(it->second));
       it = conns.erase(it);
     }
@@ -618,7 +600,6 @@ struct Server::Impl {
         --in_flight;
         (void)take_response(p);
         bump([](NetStats& s) { ++s.dropped; });
-        net_telemetry().dropped.inc();
       }
     }
     zombies.clear();

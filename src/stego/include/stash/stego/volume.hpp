@@ -126,9 +126,6 @@ class StegoVolume {
   /// capacity times the blocks currently eligible to carry a chunk.
   [[nodiscard]] std::size_t hidden_capacity_bytes() const;
   [[nodiscard]] const StegoStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] ftl::FtlStats ftl_stats_snapshot() const noexcept {
-    return ftl_.stats_snapshot();
-  }
   /// The public FTL beneath this volume (batch reads, GC, locate).
   [[nodiscard]] ftl::PageMappedFtl& ftl() noexcept { return ftl_; }
   [[nodiscard]] const std::set<std::uint32_t>& hidden_blocks() const noexcept {

@@ -12,14 +12,12 @@ using util::ErrorCode;
 
 namespace {
 
+// Hidden stores and loads have no StegoStats field; the chunk events
+// (rescues, re-embeds, losses, failed embeds) are counted there only.
 struct StegoTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
   telemetry::Counter& hides = reg.counter("stego.store_hidden");
   telemetry::Counter& loads = reg.counter("stego.load_hidden");
-  telemetry::Counter& rescues = reg.counter("stego.rescues");
-  telemetry::Counter& reembeds = reg.counter("stego.reembeds");
-  telemetry::Counter& lost_chunks = reg.counter("stego.lost_chunks");
-  telemetry::Counter& failed_embeds = reg.counter("stego.failed_embeds");
 };
 
 StegoTelemetry& stego_telemetry() {
@@ -284,16 +282,13 @@ void StegoVolume::on_relocation(nand::PageAddr from) {
   auto revealed = codec_.reveal(from.block);
   if (!revealed.is_ok()) {
     ++stats_.lost_chunks;
-    stego_telemetry().lost_chunks.inc();
     return;
   }
   if (auto chunk = unpack_chunk(revealed.value())) {
     pending_.push_back(std::move(*chunk));
     ++stats_.rescues;
-    stego_telemetry().rescues.inc();
   } else {
     ++stats_.lost_chunks;
-    stego_telemetry().lost_chunks.inc();
   }
 }
 
@@ -312,7 +307,6 @@ bool StegoVolume::embed_verified(std::uint32_t block, const Chunk& chunk) {
     }
   }
   ++stats_.failed_embeds;
-  stego_telemetry().failed_embeds.inc();
   return false;
 }
 
@@ -324,7 +318,6 @@ Status StegoVolume::reembed_pending() {
     if (embed_verified(targets[used], pending_.back())) {
       pending_.pop_back();
       ++stats_.reembeds;
-      stego_telemetry().reembeds.inc();
     }
     ++used;
   }

@@ -5,20 +5,16 @@
 // PageMappedFtl, StegoVolume, SvmModel, Sha256Drbg) reports named counters,
 // gauges, and log-bucketed latency histograms into a MetricsRegistry.  The
 // registry hands out stable references at setup time, so the hot path is a
-// single relaxed atomic add — safe to leave on in production and cheap
-// enough that the bench harnesses keep it enabled while reproducing the
-// paper's figures (bench/micro.cpp quantifies the cost: a counter increment
-// is a few nanoseconds against the ~microsecond NAND-simulator operations
-// it annotates, far below the 2% budget).
+// single relaxed atomic add — cheap enough that every build keeps it on
+// while reproducing the paper's figures (bench/micro.cpp quantifies the
+// cost: a counter increment is a few nanoseconds against the ~microsecond
+// NAND-simulator operations it annotates, far below the 2% budget).
 //
-// Compile-time kill switch: configure with -DSTASH_TELEMETRY_DISABLED=ON
-// (which defines the macro of the same name for the whole build) and every
-// mutating operation of the registry instruments (Counter, Gauge,
-// LatencyHistogram, ScopedTimer) compiles to an empty inline function —
-// zero storage, zero instructions, no atomics.  Registry snapshots then
-// report zeros.  The per-instance StatCounters behind the stats APIs
-// (FtlStats, DeviceStats, stats_json(), the wire stats op) are not
-// telemetry but part of those APIs, and count in every build.
+// One count per event: an event that a per-instance stats API already
+// counts (FtlStats, DeviceStats, NetStats, StegoStats, FaultStats) lives
+// there only, in a Counter owned by that instance.  The global registry
+// carries what has no per-instance home: latency histograms, queue and
+// buffer gauges, and the counters of layers without a stats struct.
 
 #include <atomic>
 #include <chrono>
@@ -29,93 +25,37 @@
 
 namespace stash::telemetry {
 
-/// Per-instance monotonic event count behind a stats API.  Counts in every
-/// build, telemetry-disabled included.  Increment is one relaxed atomic add.
-class StatCounter {
- public:
-  void inc(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Monotonic event count in a registry.  Increment is one relaxed atomic
-/// add.
+/// Monotonic event count, in a registry or behind a per-instance stats
+/// API.  Increment is one relaxed atomic add.
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     return value_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
   }
 
-  void reset() noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
-    value_.store(0, std::memory_order_relaxed);
-#endif
-  }
+  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
-#ifndef STASH_TELEMETRY_DISABLED
   std::atomic<std::uint64_t> value_{0};
-#endif
 };
 
 /// Last-written point-in-time value (free blocks, wear spread, ...).
 class Gauge {
  public:
-  void set(double v) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-
-  void add(double delta) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-#else
-    (void)delta;
-#endif
-  }
+  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
 
   [[nodiscard]] double value() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     return value_.load(std::memory_order_relaxed);
-#else
-    return 0.0;
-#endif
   }
 
-  void reset() noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
-    value_.store(0.0, std::memory_order_relaxed);
-#endif
-  }
+  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
-#ifndef STASH_TELEMETRY_DISABLED
   std::atomic<double> value_{0.0};
-#endif
 };
 
 /// Log-bucketed histogram of non-negative integer samples.  Bucket i holds
@@ -129,32 +69,20 @@ class LatencyHistogram {
   static constexpr std::size_t kBuckets = 64;
 
   void record(std::uint64_t sample) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     const std::size_t bucket =
         sample == 0 ? 0 : static_cast<std::size_t>(64 - __builtin_clzll(sample));
     buckets_[bucket < kBuckets ? bucket : kBuckets - 1].fetch_add(
         1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(sample, std::memory_order_relaxed);
-#else
-    (void)sample;
-#endif
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     return count_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
   }
 
   [[nodiscard]] std::uint64_t sum() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     return sum_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
   }
 
   [[nodiscard]] double mean() const noexcept {
@@ -163,13 +91,8 @@ class LatencyHistogram {
   }
 
   [[nodiscard]] std::uint64_t bucket_count(std::size_t bucket) const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     return bucket < kBuckets ? buckets_[bucket].load(std::memory_order_relaxed)
                              : 0;
-#else
-    (void)bucket;
-    return 0;
-#endif
   }
 
   /// Approximate q-th quantile (0 <= q <= 1): walks the buckets to the one
@@ -180,51 +103,37 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
 
   void reset() noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
-#endif
   }
 
  private:
-#ifndef STASH_TELEMETRY_DISABLED
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
-#endif
 };
 
 /// RAII wall-clock timer: records the scope's elapsed nanoseconds into a
-/// LatencyHistogram on destruction.  Compiles to nothing when telemetry is
-/// disabled.
+/// LatencyHistogram on destruction.
 class ScopedTimer {
  public:
   explicit ScopedTimer(LatencyHistogram& hist) noexcept
-#ifndef STASH_TELEMETRY_DISABLED
-      : hist_(&hist), start_(std::chrono::steady_clock::now())
-#endif
-  {
-    (void)hist;
-  }
+      : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   ~ScopedTimer() {
-#ifndef STASH_TELEMETRY_DISABLED
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
     hist_->record(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
-#endif
   }
 
  private:
-#ifndef STASH_TELEMETRY_DISABLED
   LatencyHistogram* hist_;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 /// Point-in-time export of a registry, suitable for machine consumption.

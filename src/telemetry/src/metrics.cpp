@@ -9,7 +9,6 @@
 namespace stash::telemetry {
 
 std::uint64_t LatencyHistogram::quantile(double q) const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
   const std::uint64_t n = count();
   if (n == 0) return 0;
   if (q < 0.0) q = 0.0;
@@ -35,10 +34,6 @@ std::uint64_t LatencyHistogram::quantile(double q) const noexcept {
     seen += in_bucket;
   }
   return 0;
-#else
-  (void)q;
-  return 0;
-#endif
 }
 
 struct MetricsRegistry::Impl {

@@ -26,10 +26,9 @@
 // per-parent sibling sequence), not allocated from a shared counter, so ids
 // are stable across thread counts too.
 //
-// Cost model: when the tracer is disabled (the default), every call site
-// pays one relaxed atomic load — no TLS access, no allocation.  With
-// STASH_TELEMETRY_DISABLED the whole module compiles to empty inline
-// functions, same as stash::telemetry.
+// Cost model: tracing is opt-in at run time.  While the tracer is disabled
+// (the default), every call site pays one relaxed atomic load — no TLS
+// access, no allocation.
 
 #include <atomic>
 #include <cstdint>
@@ -123,7 +122,6 @@ struct TraceContext {
 
 namespace detail {
 
-#ifndef STASH_TELEMETRY_DISABLED
 /// Hot-path flag: one relaxed load decides whether any call site does work.
 extern std::atomic<std::uint8_t> g_enabled;
 
@@ -137,7 +135,6 @@ struct Frame {
 void tls_push(Frame* f) noexcept;
 void tls_pop(Frame* f) noexcept;
 [[nodiscard]] std::uint64_t wall_now_ns() noexcept;
-#endif
 
 /// FNV-1a fold of one 64-bit word.
 [[nodiscard]] constexpr std::uint64_t fnv_mix(std::uint64_t h,
@@ -163,11 +160,7 @@ void tls_pop(Frame* f) noexcept;
 
 /// True while tracing is collecting.  One relaxed atomic load.
 [[nodiscard]] inline bool enabled() noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
   return detail::g_enabled.load(std::memory_order_relaxed) != 0;
-#else
-  return false;
-#endif
 }
 
 /// Process-wide span collector.  Records go to per-thread chunked buffers:
@@ -230,9 +223,7 @@ class Tracer {
 class ScopedSpan {
  public:
   ScopedSpan(Stage stage, Op op, std::uint64_t key = 0,
-             std::uint64_t bytes = 0) noexcept
-#ifndef STASH_TELEMETRY_DISABLED
-  {
+             std::uint64_t bytes = 0) noexcept {
     if (!enabled()) return;
     detail::Frame* parent = detail::tls_top();
     if (parent == nullptr || !parent->ctx.active()) return;
@@ -250,21 +241,11 @@ class ScopedSpan {
     wall_ = Tracer::global().clock_mode() == ClockMode::kWall;
     if (wall_) begin_ = detail::wall_now_ns();
   }
-#else
-  {
-    (void)stage;
-    (void)op;
-    (void)key;
-    (void)bytes;
-  }
-#endif
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  ~ScopedSpan()
-#ifndef STASH_TELEMETRY_DISABLED
-  {
+  ~ScopedSpan() {
     if (!active_) return;
     detail::tls_pop(&frame_);
     if (wall_) {
@@ -277,58 +258,27 @@ class ScopedSpan {
     }
     Tracer::global().emit(rec_);
   }
-#else
-      = default;
-#endif
 
-  [[nodiscard]] bool active() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
-    return active_;
-#else
-    return false;
-#endif
-  }
+  [[nodiscard]] bool active() const noexcept { return active_; }
 
   /// Simulated-time duration for virtual-clock mode (ignored in wall mode).
-  void set_cost_ns(std::uint64_t ns) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
-    cost_ = ns;
-#else
-    (void)ns;
-#endif
-  }
+  void set_cost_ns(std::uint64_t ns) noexcept { cost_ = ns; }
   /// Convenience: the NAND cost model speaks microseconds.
   void set_cost_us(double us) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     cost_ = us > 0.0 ? static_cast<std::uint64_t>(us * 1e3 + 0.5) : 0;
-#else
-    (void)us;
-#endif
   }
-  void set_status(std::uint8_t code) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
-    rec_.status = code;
-#else
-    (void)code;
-#endif
-  }
+  void set_status(std::uint8_t code) noexcept { rec_.status = code; }
   void set_bytes(std::uint64_t bytes) noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
     rec_.bytes = static_cast<std::uint32_t>(bytes);
-#else
-    (void)bytes;
-#endif
   }
 
  private:
-#ifndef STASH_TELEMETRY_DISABLED
   SpanRecord rec_;
   detail::Frame frame_;
   std::uint64_t begin_ = 0;
   std::uint64_t cost_ = 0;
   bool active_ = false;
   bool wall_ = false;
-#endif
 };
 
 /// Installs a captured context as current for the scope — the cross-thread
@@ -337,37 +287,23 @@ class ScopedSpan {
 /// nothing itself.
 class ContextGuard {
  public:
-  explicit ContextGuard(TraceContext ctx) noexcept
-#ifndef STASH_TELEMETRY_DISABLED
-  {
+  explicit ContextGuard(TraceContext ctx) noexcept {
     if (!enabled() || !ctx.active()) return;
     active_ = true;
     frame_.ctx = ctx;
     detail::tls_push(&frame_);
   }
-#else
-  {
-    (void)ctx;
-  }
-#endif
 
   ContextGuard(const ContextGuard&) = delete;
   ContextGuard& operator=(const ContextGuard&) = delete;
 
-  ~ContextGuard()
-#ifndef STASH_TELEMETRY_DISABLED
-  {
+  ~ContextGuard() {
     if (active_) detail::tls_pop(&frame_);
   }
-#else
-      = default;
-#endif
 
  private:
-#ifndef STASH_TELEMETRY_DISABLED
   detail::Frame frame_;
   bool active_ = false;
-#endif
 };
 
 }  // namespace stash::trace

@@ -17,8 +17,10 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "stash/dev/cache.hpp"
@@ -687,6 +689,100 @@ TEST(DevHidden, DuplicateHiddenSegmentIndexIsCorruption) {
   const auto loaded = dev.load_hidden();
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupted);
+}
+
+// ---- Per-instance stats are the only source -------------------------------
+
+/// stats_json() as it must read for `s`: every DeviceStats field under its
+/// canonical key, in declaration order, at the snapshot's value.
+std::string expected_stats_json(const DeviceStats& s) {
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"reads", s.reads},
+      {"writes", s.writes},
+      {"trims", s.trims},
+      {"cache_hits", s.cache_hits},
+      {"cache_misses", s.cache_misses},
+      {"buffer_hits", s.buffer_hits},
+      {"coalesced_writes", s.coalesced_writes},
+      {"coalesced_reads", s.coalesced_reads},
+      {"dispatches", s.dispatches},
+      {"deadline_dispatches", s.deadline_dispatches},
+      {"flushes", s.flushes},
+      {"flushed_pages", s.flushed_pages},
+      {"lost_writes", s.lost_writes},
+      {"gc_runs", s.gc_runs},
+      {"hidden_stores", s.hidden_stores},
+      {"hidden_loads", s.hidden_loads},
+      {"pack_logical_bytes", s.pack_logical_bytes},
+      {"pack_packed_bytes", s.pack_packed_bytes},
+      {"bytes_copied", s.bytes_copied},
+  };
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    if (out.size() > 1) out += ',';
+    out += std::string("\"") + key + "\":" + std::to_string(value);
+  }
+  return out + "}";
+}
+
+TEST(DevStats, TwoDevicesInOneProcessCountOnlyTheirOwnTraffic) {
+  // Device A carries a hidden volume and a full public cover; device B
+  // sees a little public traffic and no hidden ops.  Each one's stats must
+  // reflect only its own requests, and traffic on one must leave the
+  // other's snapshot untouched.
+  StashDevice a(hidden_config(1), test_key());
+  StashDevice b(tiny_config(), test_key(0x51));
+
+  constexpr std::uint64_t kBWrites = 6;
+  for (std::uint64_t lpn = 0; lpn < kBWrites; ++lpn) {
+    ASSERT_TRUE(b.write(lpn, page_pattern(b.page_bits(), 300 + lpn)).is_ok());
+  }
+  ASSERT_TRUE(b.trim(kBWrites - 1).is_ok());
+  ASSERT_TRUE(b.flush().is_ok());
+  for (std::uint64_t lpn = 0; lpn < 3; ++lpn) ASSERT_TRUE(b.read(lpn).is_ok());
+  const DeviceStats b_before = b.stats_snapshot();
+  const std::string b_json = b.stats_json();
+
+  fill_public(a, 11000);
+  std::vector<std::uint8_t> secret(256);
+  util::Xoshiro256 rng(5);
+  for (auto& byte : secret) byte = static_cast<std::uint8_t>(rng());
+  ASSERT_TRUE(a.store_hidden(secret).is_ok());
+  const auto loaded = a.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), secret);
+  ASSERT_TRUE(a.read(0).is_ok());
+
+  const DeviceStats sa = a.stats_snapshot();
+  EXPECT_EQ(sa.writes, a.logical_pages());
+  EXPECT_EQ(sa.trims, 0u);
+  EXPECT_EQ(sa.reads, 1u);
+  EXPECT_GE(sa.flushes, 1u);
+  EXPECT_EQ(sa.hidden_stores, 1u);
+  EXPECT_EQ(sa.hidden_loads, 1u);
+  EXPECT_EQ(a.stats_json(), expected_stats_json(sa));
+
+  // A's traffic left B's counts exactly where B's own traffic put them.
+  EXPECT_EQ(b.stats_json(), b_json);
+  EXPECT_EQ(b_before.writes, kBWrites);
+  EXPECT_EQ(b_before.trims, 1u);
+  EXPECT_EQ(b_before.reads, 3u);
+  EXPECT_GE(b_before.flushes, 1u);
+  EXPECT_EQ(b_before.hidden_stores, 0u);
+  EXPECT_EQ(b_before.hidden_loads, 0u);
+  EXPECT_EQ(b_json, expected_stats_json(b_before));
+
+  // And the other way round: more B traffic leaves A's snapshot alone.
+  const std::string a_json = a.stats_json();
+  ASSERT_TRUE(b.write(0, page_pattern(b.page_bits(), 400)).is_ok());
+  ASSERT_TRUE(b.flush().is_ok());
+  ASSERT_TRUE(b.read(0).is_ok());
+  const DeviceStats b_after = b.stats_snapshot();
+  EXPECT_EQ(b_after.writes, kBWrites + 1);
+  EXPECT_EQ(b_after.reads, 4u);
+  EXPECT_EQ(b_after.flushes, b_before.flushes + 1);
+  EXPECT_EQ(b.stats_json(), expected_stats_json(b_after));
+  EXPECT_EQ(a.stats_json(), a_json);
 }
 
 // ---- Power-cut battery (satellite: write-back cache under stash::fault) ---

@@ -471,10 +471,8 @@ TEST(FaultRecovery, FtlSurvivesOnePercentProgramFailures) {
   }
   EXPECT_GE(retired, 1u);
   EXPECT_GT(ftl.free_blocks(), 0u);
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_GT(ftl.stats_snapshot().program_fail_rewrites, 0u);
   EXPECT_EQ(ftl.stats_snapshot().grown_bad_blocks, retired);
-#endif
 }
 
 TEST(FaultRecovery, EraseFailureRetiresVictimWithoutDataLoss) {

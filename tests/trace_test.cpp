@@ -47,8 +47,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace stash::trace {
 namespace {
 
-#ifndef STASH_TELEMETRY_DISABLED
-
 /// Quiesce the global tracer between tests.
 void reset_tracer() {
   Tracer::global().disable();
@@ -403,9 +401,7 @@ TEST(TraceSampling, DeviceSamplesOneRequestInN) {
   tracer.clear();
 }
 
-#endif  // STASH_TELEMETRY_DISABLED
-
-// ---- Span-id derivation (compiled in every configuration) ------------------
+// ---- Span-id derivation ----------------------------------------------------
 
 TEST(TraceSpanId, DerivationIsStableAndContentSensitive) {
   constexpr std::uint64_t a =
