@@ -18,7 +18,9 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stash/dev/device.hpp"
@@ -170,6 +172,75 @@ TEST(NetProtocol, OversizedFrameHeaderIsCorruptionNotAllocation) {
   bool ready = false;
   EXPECT_EQ(assembler.poll(frame, ready).code(), ErrorCode::kCorrupted);
   EXPECT_FALSE(ready);
+}
+
+TEST(NetProtocol, DeviceStatsPayloadIsPinned) {
+  // The v3 stats payload: 19 little-endian u64s in a fixed order.  The
+  // expected bytes are spelled out so that a reordered, dropped or added
+  // field shows up as a wire change, not as a silently re-agreed layout.
+  dev::DeviceStats s;
+  s.reads = 1;
+  s.writes = 2;
+  s.trims = 3;
+  s.cache_hits = 4;
+  s.cache_misses = 5;
+  s.buffer_hits = 6;
+  s.coalesced_writes = 7;
+  s.coalesced_reads = 8;
+  s.dispatches = 9;
+  s.deadline_dispatches = 10;
+  s.flushes = 11;
+  s.flushed_pages = 12;
+  s.lost_writes = 13;
+  s.gc_runs = 14;
+  s.hidden_stores = 15;
+  s.hidden_loads = 16;
+  s.pack_logical_bytes = 17;
+  s.pack_packed_bytes = 18;
+  s.bytes_copied = 19;
+  const std::vector<std::uint8_t> expected = {
+      1, 0, 0, 0, 0, 0, 0, 0,  // reads
+      2, 0, 0, 0, 0, 0, 0, 0,  // writes
+      3, 0, 0, 0, 0, 0, 0, 0,  // trims
+      4, 0, 0, 0, 0, 0, 0, 0,  // cache_hits
+      5, 0, 0, 0, 0, 0, 0, 0,  // cache_misses
+      6, 0, 0, 0, 0, 0, 0, 0,  // buffer_hits
+      7, 0, 0, 0, 0, 0, 0, 0,  // coalesced_writes
+      8, 0, 0, 0, 0, 0, 0, 0,  // coalesced_reads
+      9, 0, 0, 0, 0, 0, 0, 0,  // dispatches
+      10, 0, 0, 0, 0, 0, 0, 0,  // deadline_dispatches
+      11, 0, 0, 0, 0, 0, 0, 0,  // flushes
+      12, 0, 0, 0, 0, 0, 0, 0,  // flushed_pages
+      13, 0, 0, 0, 0, 0, 0, 0,  // lost_writes
+      14, 0, 0, 0, 0, 0, 0, 0,  // gc_runs
+      15, 0, 0, 0, 0, 0, 0, 0,  // hidden_stores
+      16, 0, 0, 0, 0, 0, 0, 0,  // hidden_loads
+      17, 0, 0, 0, 0, 0, 0, 0,  // pack_logical_bytes
+      18, 0, 0, 0, 0, 0, 0, 0,  // pack_packed_bytes
+      19, 0, 0, 0, 0, 0, 0, 0,  // bytes_copied
+  };
+  ASSERT_EQ(expected.size(), 152u);
+
+  std::vector<std::uint8_t> bytes;
+  encode_device_stats(s, bytes);
+  EXPECT_EQ(bytes, expected);
+
+  dev::DeviceStats back;
+  ASSERT_TRUE(decode_device_stats(expected, back).is_ok());
+  std::vector<std::uint8_t> again;
+  encode_device_stats(back, again);
+  EXPECT_EQ(again, expected);
+  EXPECT_EQ(back.lost_writes, 13u);
+  EXPECT_EQ(back.bytes_copied, 19u);
+
+  auto truncated = expected;
+  truncated.pop_back();
+  EXPECT_EQ(decode_device_stats(truncated, back).code(),
+            ErrorCode::kCorrupted);
+  auto trailing = expected;
+  trailing.push_back(0x00);
+  EXPECT_EQ(decode_device_stats(trailing, back).code(),
+            ErrorCode::kCorrupted);
 }
 
 // ---- Server: end-to-end over loopback -------------------------------------
@@ -569,6 +640,66 @@ TEST(NetServer, IdleTicksCompleteAStarvedRemoteRead) {
 
   client.close();
   server.stop();
+}
+
+/// The canonical NetStats JSON, built field by field in its fixed key
+/// order: the nine scalars, then the per-op counts keyed by op name.
+std::string expected_net_stats_json(const NetStats& s) {
+  const std::pair<const char*, std::uint64_t> scalars[] = {
+      {"accepted", s.accepted},
+      {"disconnected", s.disconnected},
+      {"requests", s.requests},
+      {"responses", s.responses},
+      {"dropped", s.dropped},
+      {"rx_bytes", s.rx_bytes},
+      {"tx_bytes", s.tx_bytes},
+      {"pipeline_stalls", s.pipeline_stalls},
+      {"protocol_errors", s.protocol_errors},
+  };
+  const char* const ops[kOpCount] = {
+      "read", "write", "trim", "store_hidden", "load_hidden", "gc",
+      "flush", "stats", "ping", "hello", "hidden_info"};
+  std::string out = "{";
+  for (const auto& [key, value] : scalars) {
+    out += std::string("\"") + key + "\":" + std::to_string(value) + ",";
+  }
+  out += "\"ops\":{";
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    if (i > 0) out += ',';
+    out += std::string("\"") + ops[i] + "\":" + std::to_string(s.ops[i]);
+  }
+  return out + "}}";
+}
+
+TEST(NetServer, StatsJsonKeyOrderIsPinned) {
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  {
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+    ASSERT_TRUE(client.ping().is_ok());
+    for (std::uint64_t lpn = 0; lpn < 3; ++lpn) {
+      ASSERT_TRUE(
+          client.write(lpn, page_pattern(dev.page_bits(), 60 + lpn)).is_ok());
+    }
+    ASSERT_TRUE(client.flush().is_ok());
+    ASSERT_TRUE(client.read(1).is_ok());
+    ASSERT_TRUE(client.trim(2).is_ok());
+    ASSERT_TRUE(client.stats().is_ok());
+    client.close();
+  }
+  ASSERT_TRUE(eventually(
+      [&] { return server.stats_snapshot().disconnected >= 1; }));
+  server.stop();
+
+  const NetStats s = server.stats_snapshot();
+  EXPECT_EQ(s.accepted, 1u);
+  EXPECT_EQ(s.disconnected, 1u);
+  EXPECT_GT(s.rx_bytes, 0u);
+  EXPECT_GT(s.tx_bytes, 0u);
+  EXPECT_EQ(s.ops[static_cast<std::size_t>(OpCode::kWrite) - 1], 3u);
+  EXPECT_EQ(server.stats_json(), expected_net_stats_json(s));
 }
 
 TEST(NetServer, DeterministicModeStatsExportIsByteIdentical) {
