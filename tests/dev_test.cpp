@@ -1239,5 +1239,86 @@ TEST(DevDestage, ConcurrentSubmittersReadTheirWritesDuringDestage) {
   }
 }
 
+/// Every DeviceStats field in stats_json() order, for field-wise checks.
+std::array<std::uint64_t, 19> stats_values(const DeviceStats& s) {
+  return {s.reads,         s.writes,
+          s.trims,         s.cache_hits,
+          s.cache_misses,  s.buffer_hits,
+          s.coalesced_writes, s.coalesced_reads,
+          s.dispatches,    s.deadline_dispatches,
+          s.flushes,       s.flushed_pages,
+          s.lost_writes,   s.gc_runs,
+          s.hidden_stores, s.hidden_loads,
+          s.pack_logical_bytes, s.pack_packed_bytes,
+          s.bytes_copied};
+}
+
+TEST(DevStats, SnapshotWhileDestageRuns) {
+  // Two submitters write and read while the destage workers program
+  // flash; a third thread polls the stats all along.  Every field it sees
+  // must only ever grow, and once the traffic is done the counts are exact.
+  DeviceConfig config = tiny_config();
+  config.chips = 2;
+  config.write_back_pages = 8;
+  StashDevice dev(config, test_key());
+  const std::uint64_t span = dev.logical_pages() / 4;  // per submitter
+  constexpr std::uint64_t kRounds = 4;
+
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::uint64_t regressions = 0;
+  std::uint64_t bad_json = 0;
+  std::thread poller([&] {
+    std::array<std::uint64_t, 19> last{};
+    while (!done.load(std::memory_order_acquire)) {
+      const auto now = stats_values(dev.stats_snapshot());
+      for (std::size_t i = 0; i < now.size(); ++i) {
+        if (now[i] < last[i]) ++regressions;
+      }
+      last = now;
+      const std::string json = dev.stats_json();
+      if (json.rfind("{\"reads\":", 0) != 0 ||
+          json.find("\"bytes_copied\":") == std::string::npos ||
+          json.back() != '}') {
+        ++bad_json;
+      }
+      ++polls;
+    }
+  });
+
+  std::atomic<std::uint64_t> failures{0};
+  const auto submitter = [&](std::uint64_t base) {
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+      for (std::uint64_t i = 0; i < span; ++i) {
+        const std::uint64_t lpn = base + i;
+        if (!dev.write(lpn, version(dev, lpn, round)).is_ok()) {
+          failures.fetch_add(1);
+        }
+        if (!dev.read(lpn).is_ok()) failures.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(submitter, 0);
+  std::thread b(submitter, span);
+  a.join();
+  b.join();
+  ASSERT_TRUE(dev.flush().is_ok());
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(regressions, 0u);
+  EXPECT_EQ(bad_json, 0u);
+  const DeviceStats s = dev.stats_snapshot();
+  EXPECT_EQ(s.writes, 2 * span * kRounds);
+  EXPECT_EQ(s.reads, 2 * span * kRounds);
+  EXPECT_EQ(s.trims, 0u);
+  EXPECT_EQ(s.lost_writes, 0u);
+  EXPECT_GE(s.flushes, 1u);
+  EXPECT_EQ(s.flushed_pages + s.coalesced_writes, 2 * span * kRounds);
+  EXPECT_EQ(dev.stats_json(), expected_stats_json(s));
+}
+
 }  // namespace
 }  // namespace stash::dev

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -699,6 +700,90 @@ TEST(NetServer, StatsJsonKeyOrderIsPinned) {
   EXPECT_GT(s.rx_bytes, 0u);
   EXPECT_GT(s.tx_bytes, 0u);
   EXPECT_EQ(s.ops[static_cast<std::size_t>(OpCode::kWrite) - 1], 3u);
+  EXPECT_EQ(server.stats_json(), expected_net_stats_json(s));
+}
+
+TEST(NetServer, StatsSnapshotWhileServing) {
+  // A second thread polls the stats while a client drives traffic: every
+  // count it sees only ever grows, and the final snapshot is exact.
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::uint64_t regressions = 0;
+  std::uint64_t bad_json = 0;
+  std::thread poller([&] {
+    NetStats last;
+    const auto grew = [](std::uint64_t before, std::uint64_t now) {
+      return now >= before;
+    };
+    while (!done.load(std::memory_order_acquire)) {
+      const NetStats now = server.stats_snapshot();
+      bool ok = grew(last.accepted, now.accepted) &&
+                grew(last.disconnected, now.disconnected) &&
+                grew(last.requests, now.requests) &&
+                grew(last.responses, now.responses) &&
+                grew(last.dropped, now.dropped) &&
+                grew(last.rx_bytes, now.rx_bytes) &&
+                grew(last.tx_bytes, now.tx_bytes) &&
+                grew(last.pipeline_stalls, now.pipeline_stalls) &&
+                grew(last.protocol_errors, now.protocol_errors);
+      for (std::size_t i = 0; i < kOpCount; ++i) {
+        ok = ok && grew(last.ops[i], now.ops[i]);
+      }
+      if (!ok) ++regressions;
+      last = now;
+      const std::string json = server.stats_json();
+      if (json.rfind("{\"accepted\":", 0) != 0 ||
+          json.find("\"ops\":{") == std::string::npos ||
+          json.substr(json.size() - 2) != "}}") {
+        ++bad_json;
+      }
+      ++polls;
+    }
+  });
+
+  constexpr std::uint64_t kRounds = 40;
+  {
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+      const std::uint64_t lpn = i % 8;
+      ASSERT_TRUE(
+          client.write(lpn, page_pattern(dev.page_bits(), 700 + i)).is_ok());
+      ASSERT_TRUE(client.read(lpn).is_ok());
+      ASSERT_TRUE(client.ping().is_ok());
+    }
+    ASSERT_TRUE(client.stats().is_ok());
+    client.close();
+  }
+  ASSERT_TRUE(eventually(
+      [&] { return server.stats_snapshot().disconnected >= 1; }));
+  server.stop();
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(regressions, 0u);
+  EXPECT_EQ(bad_json, 0u);
+  const NetStats s = server.stats_snapshot();
+  const auto op = [&s](OpCode code) {
+    return s.ops[static_cast<std::size_t>(code) - 1];
+  };
+  EXPECT_EQ(s.accepted, 1u);
+  EXPECT_EQ(s.disconnected, 1u);
+  EXPECT_EQ(op(OpCode::kWrite), kRounds);
+  EXPECT_EQ(op(OpCode::kRead), kRounds);
+  EXPECT_EQ(op(OpCode::kPing), kRounds);
+  EXPECT_EQ(op(OpCode::kStats), 1u);
+  std::uint64_t by_op = 0;
+  for (const std::uint64_t n : s.ops) by_op += n;
+  EXPECT_EQ(s.requests, by_op);
+  EXPECT_EQ(s.responses, s.requests);
+  EXPECT_EQ(s.dropped, 0u);
+  EXPECT_EQ(s.protocol_errors, 0u);
   EXPECT_EQ(server.stats_json(), expected_net_stats_json(s));
 }
 
