@@ -58,6 +58,7 @@
 // the destage to go idle.  Addressing stripes the device LPN space across
 // chips: lpn -> (chip = lpn % chips, local = lpn / chips).
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -121,8 +122,10 @@ struct HiddenInfo {
   }
 };
 
-/// Point-in-time device statistics, sourced from the per-instance counters
-/// (same convention as ftl::PageMappedFtl::stats_snapshot).
+/// Per-instance device statistics: StashDevice counts into a live instance
+/// of this struct and stats_snapshot() copies it out (same convention as
+/// ftl::FtlStats).  kFields is the one field list: stats_json() keys and
+/// the net stats payload follow its order.
 struct DeviceStats {
   std::uint64_t reads = 0;            // read requests completed
   std::uint64_t writes = 0;           // write requests acknowledged
@@ -150,6 +153,28 @@ struct DeviceStats {
   // at 0 for steady-state reads; the residual copies still charged here
   // are the hidden-object segment reassembly on load_hidden.
   std::uint64_t bytes_copied = 0;
+
+  static constexpr std::array<telemetry::Field<DeviceStats>, 19> kFields{{
+      {"reads", &DeviceStats::reads},
+      {"writes", &DeviceStats::writes},
+      {"trims", &DeviceStats::trims},
+      {"cache_hits", &DeviceStats::cache_hits},
+      {"cache_misses", &DeviceStats::cache_misses},
+      {"buffer_hits", &DeviceStats::buffer_hits},
+      {"coalesced_writes", &DeviceStats::coalesced_writes},
+      {"coalesced_reads", &DeviceStats::coalesced_reads},
+      {"dispatches", &DeviceStats::dispatches},
+      {"deadline_dispatches", &DeviceStats::deadline_dispatches},
+      {"flushes", &DeviceStats::flushes},
+      {"flushed_pages", &DeviceStats::flushed_pages},
+      {"lost_writes", &DeviceStats::lost_writes},
+      {"gc_runs", &DeviceStats::gc_runs},
+      {"hidden_stores", &DeviceStats::hidden_stores},
+      {"hidden_loads", &DeviceStats::hidden_loads},
+      {"pack_logical_bytes", &DeviceStats::pack_logical_bytes},
+      {"pack_packed_bytes", &DeviceStats::pack_packed_bytes},
+      {"bytes_copied", &DeviceStats::bytes_copied},
+  }};
 
   [[nodiscard]] double cache_hit_ratio() const noexcept {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -476,28 +501,10 @@ class StashDevice {
   std::condition_variable admission_cv_;  // submitters: pending writes fell
   mutable std::condition_variable idle_cv_;   // waiters: destage idle
 
-  // Per-instance counters behind stats_snapshot() and stats_json(): the
-  // only count of each event (gtest runs many devices in one process).
-  struct Counters {
-    telemetry::Counter reads;
-    telemetry::Counter writes;
-    telemetry::Counter trims;
-    telemetry::Counter buffer_hits;
-    telemetry::Counter coalesced_writes;
-    telemetry::Counter coalesced_reads;
-    telemetry::Counter dispatches;
-    telemetry::Counter deadline_dispatches;
-    telemetry::Counter flushes;
-    telemetry::Counter flushed_pages;
-    telemetry::Counter lost;
-    telemetry::Counter gc_runs;
-    telemetry::Counter hidden_stores;
-    telemetry::Counter hidden_loads;
-    telemetry::Counter pack_logical_bytes;
-    telemetry::Counter pack_packed_bytes;
-    telemetry::Counter bytes_copied;
-  };
-  Counters counters_;
+  // The live counts behind stats_snapshot() and stats_json(), bumped in
+  // place (gtest runs many devices in one process).  cache_hits and
+  // cache_misses stay 0 here: the cache counts those itself.
+  mutable DeviceStats live_;
   /// One destage worker per chip (none in write-through mode); declared
   /// last so everything they touch outlives them.
   std::vector<std::thread> workers_;

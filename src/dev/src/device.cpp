@@ -311,7 +311,7 @@ void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   } else if (queue_.size() >= config_.batch_pages) {
     dispatch(lock);
   } else if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.deadline_dispatches.inc();
+    telemetry::bump(live_.deadline_dispatches);
     dispatch(lock);
   }
 }
@@ -348,9 +348,9 @@ std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
   ++tick_;
   auto& tel = dev_telemetry();
   if (write.trim) {
-    counters_.trims.inc();
+    telemetry::bump(live_.trims);
   } else {
-    counters_.writes.inc();
+    telemetry::bump(live_.writes);
   }
   tel.queue_depth.set(static_cast<double>(queue_.size()));
   write.trace = new_request_trace(op, lpn);
@@ -405,7 +405,7 @@ std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
   // A queued read may be past its deadline now that the tick advanced.
   if (!queue_.empty() &&
       tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.deadline_dispatches.inc();
+    telemetry::bump(live_.deadline_dispatches);
     dispatch(lock);
   }
   return fut;
@@ -456,7 +456,7 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
     wait_destage_idle(lock);
   }
   if (queue_.empty()) return;
-  counters_.dispatches.inc();
+  telemetry::bump(live_.dispatches);
   auto& tel = dev_telemetry();
   tel.dispatch_batch.record(queue_.size());
 
@@ -626,7 +626,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
     const WriteBackBuffer::Entry* staged =
         pending == pending_writes_.rend() ? buffer_.find(lpn) : nullptr;
     if (pending != pending_writes_.rend() || staged != nullptr) {
-      counters_.buffer_hits.inc();
+      telemetry::bump(live_.buffer_hits);
       std::uint8_t code = 0;
       if (staged ? staged->trim : pending->trim) {
         code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
@@ -637,7 +637,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         reads[r].value_promise.set_value(
             Result<PageRef>{staged ? staged->bits : pending->bits});
       }
-      counters_.reads.inc();
+      telemetry::bump(live_.reads);
       tel.read_latency.record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, code);
       continue;
@@ -649,12 +649,12 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
     std::size_t m = 0;
     while (m < misses.size() && misses[m].lpn != lpn) ++m;
     if (m < misses.size()) {
-      counters_.coalesced_reads.inc();
+      telemetry::bump(live_.coalesced_reads);
       repeats.emplace_back(m, r);
       continue;
     }
     if (auto cached = cache_.lookup(lpn)) {
-      counters_.reads.inc();
+      telemetry::bump(live_.reads);
       reads[r].value_promise.set_value(std::move(*cached));
       tel.read_latency.record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, 0);
@@ -706,7 +706,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         cache_.insert(miss.lpn, outcome.value());
       }
       const auto resolve = [&](std::size_t r) {
-        counters_.reads.inc();
+        telemetry::bump(live_.reads);
         reads[r].value_promise.set_value(outcome);
         tel.read_latency.record(elapsed_ns(reads[r].start));
         // Serial point after this chip's batch: the miss's service span
@@ -804,9 +804,9 @@ Status StashDevice::execute_store_hidden(std::span<const std::uint8_t> data) {
     const std::uint64_t logical =
         config_.pack.enabled ? pstats.logical_bytes
                              : static_cast<std::uint64_t>(data.size());
-    counters_.hidden_stores.inc();
-    counters_.pack_logical_bytes.inc(logical);
-    counters_.pack_packed_bytes.inc(data.size());
+    telemetry::bump(live_.hidden_stores);
+    telemetry::bump(live_.pack_logical_bytes, logical);
+    telemetry::bump(live_.pack_packed_bytes, data.size());
   }
   return first;
 }
@@ -852,7 +852,7 @@ Result<StashDevice::RawHidden> StashDevice::load_hidden_raw() {
     // Segment reassembly is the one real copy left on the hidden load
     // path (cross-chip splice into one contiguous payload); charge it so
     // bytes_copied stays an honest ledger.
-    counters_.bytes_copied.inc(ordered[i]->payload.size());
+    telemetry::bump(live_.bytes_copied, ordered[i]->payload.size());
     raw.bytes.insert(raw.bytes.end(), ordered[i]->payload.begin(),
                      ordered[i]->payload.end());
   }
@@ -883,12 +883,12 @@ Result<std::vector<std::uint8_t>> StashDevice::execute_load_hidden() {
                       std::to_string(raw.value().format) +
                       " newer than this build"};
   }
-  counters_.hidden_loads.inc();
+  telemetry::bump(live_.hidden_loads);
   return out;
 }
 
 Status StashDevice::execute_gc() {
-  counters_.gc_runs.inc();
+  telemetry::bump(live_.gc_runs);
   util::BatchStatus results;
   results.reserve(volumes_.size());
   for (auto& volume : volumes_) {
@@ -911,7 +911,7 @@ void StashDevice::admit_locked(PendingWrite& write) {
     if (write.trim) {
       (void)buffer_.put_trim(write.lpn);
     } else if (buffer_.put(write.lpn, std::move(write.bits))) {
-      counters_.coalesced_writes.inc();
+      telemetry::bump(live_.coalesced_writes);
     }
   }
   tel.write_admission_wait.record(elapsed_ns(write.start));
@@ -925,7 +925,7 @@ void StashDevice::admit_locked(PendingWrite& write) {
 
 void StashDevice::hand_off_locked() {
   const std::vector<WriteBackBuffer::Entry>& entries = buffer_.hand_off();
-  counters_.flushes.inc();
+  telemetry::bump(live_.flushes);
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
     destage_.items[c].clear();
   }
@@ -1004,7 +1004,7 @@ void StashDevice::finish_destage_locked() {
       }
     }
   }
-  counters_.flushed_pages.inc(programmed);
+  telemetry::bump(live_.flushed_pages, programmed);
   if (destage_error_.is_ok()) destage_error_ = first;
   tel.flush_latency.record(elapsed_ns(destage_.start));
   if (destage_.trace.active() && trace::enabled()) {
@@ -1094,7 +1094,7 @@ std::size_t StashDevice::idle_tick() {
   // queue drains through the same deadline path a submission would take.
   ++tick_;
   if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.deadline_dispatches.inc();
+    telemetry::bump(live_.deadline_dispatches);
     dispatch(lock);
   }
   return queue_.size();
@@ -1147,7 +1147,7 @@ Status StashDevice::power_cycle() {
   cache_.clear();
   for (const std::uint64_t lpn : buffer_.drop_all()) {
     lost_writes_.push_back(lpn);
-    counters_.lost.inc();
+    telemetry::bump(live_.lost_writes);
   }
   destage_error_ = Status::ok();  // its entries are reported lost instead
   dev_telemetry().queue_depth.set(0.0);
@@ -1445,59 +1445,15 @@ nand::CostLedger StashDevice::ledger() const {
 }
 
 DeviceStats StashDevice::stats_snapshot() const noexcept {
-  DeviceStats s;
-  s.reads = counters_.reads.value();
-  s.writes = counters_.writes.value();
-  s.trims = counters_.trims.value();
+  DeviceStats s = telemetry::load(live_);
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
-  s.buffer_hits = counters_.buffer_hits.value();
-  s.coalesced_writes = counters_.coalesced_writes.value();
-  s.coalesced_reads = counters_.coalesced_reads.value();
-  s.dispatches = counters_.dispatches.value();
-  s.deadline_dispatches = counters_.deadline_dispatches.value();
-  s.flushes = counters_.flushes.value();
-  s.flushed_pages = counters_.flushed_pages.value();
-  s.lost_writes = counters_.lost.value();
-  s.gc_runs = counters_.gc_runs.value();
-  s.hidden_stores = counters_.hidden_stores.value();
-  s.hidden_loads = counters_.hidden_loads.value();
-  s.pack_logical_bytes = counters_.pack_logical_bytes.value();
-  s.pack_packed_bytes = counters_.pack_packed_bytes.value();
-  s.bytes_copied = counters_.bytes_copied.value();
   return s;
 }
 
 std::string StashDevice::stats_json() const {
-  const DeviceStats s = stats_snapshot();
   std::string out = "{";
-  const auto field = [&out](const char* key, std::uint64_t value,
-                            bool last = false) {
-    out += '"';
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-    if (!last) out += ',';
-  };
-  field("reads", s.reads);
-  field("writes", s.writes);
-  field("trims", s.trims);
-  field("cache_hits", s.cache_hits);
-  field("cache_misses", s.cache_misses);
-  field("buffer_hits", s.buffer_hits);
-  field("coalesced_writes", s.coalesced_writes);
-  field("coalesced_reads", s.coalesced_reads);
-  field("dispatches", s.dispatches);
-  field("deadline_dispatches", s.deadline_dispatches);
-  field("flushes", s.flushes);
-  field("flushed_pages", s.flushed_pages);
-  field("lost_writes", s.lost_writes);
-  field("gc_runs", s.gc_runs);
-  field("hidden_stores", s.hidden_stores);
-  field("hidden_loads", s.hidden_loads);
-  field("pack_logical_bytes", s.pack_logical_bytes);
-  field("pack_packed_bytes", s.pack_packed_bytes);
-  field("bytes_copied", s.bytes_copied, /*last=*/true);
+  telemetry::append_json_fields(out, stats_snapshot());
   out += '}';
   return out;
 }

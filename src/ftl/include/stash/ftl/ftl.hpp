@@ -7,6 +7,7 @@
 // hidden data in a new location ... before the old NU page containing it is
 // permanently erased").
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -46,8 +47,8 @@ struct FtlConfig {
   [[nodiscard]] Status validate() const;
 };
 
-/// Point-in-time FTL statistics.  Assembled on demand from the FTL's
-/// per-instance counters (see PageMappedFtl::stats_snapshot()).
+/// Per-instance FTL statistics: PageMappedFtl counts into a live instance
+/// of this struct and stats_snapshot() copies it out through kFields.
 struct FtlStats {
   std::uint64_t host_writes = 0;   // pages written by the host
   std::uint64_t nand_writes = 0;   // pages physically programmed
@@ -56,6 +57,16 @@ struct FtlStats {
   std::uint64_t wear_swaps = 0;
   std::uint64_t program_fail_rewrites = 0;  // pages rewritten after kProgramFail
   std::uint64_t grown_bad_blocks = 0;       // blocks retired in the field
+
+  static constexpr std::array<telemetry::Field<FtlStats>, 7> kFields{{
+      {"host_writes", &FtlStats::host_writes},
+      {"nand_writes", &FtlStats::nand_writes},
+      {"gc_runs", &FtlStats::gc_runs},
+      {"relocations", &FtlStats::relocations},
+      {"wear_swaps", &FtlStats::wear_swaps},
+      {"program_fail_rewrites", &FtlStats::program_fail_rewrites},
+      {"grown_bad_blocks", &FtlStats::grown_bad_blocks},
+  }};
 
   [[nodiscard]] double write_amplification() const noexcept {
     return host_writes ? static_cast<double>(nand_writes) /
@@ -140,17 +151,9 @@ class PageMappedFtl {
     pre_erase_hook_ = std::move(hook);
   }
 
-  /// Point-in-time snapshot of the per-instance telemetry counters.
+  /// Point-in-time copy of the per-instance counts.
   [[nodiscard]] FtlStats stats_snapshot() const noexcept {
-    FtlStats s;
-    s.host_writes = counters_.host_writes.value();
-    s.nand_writes = counters_.nand_writes.value();
-    s.gc_runs = counters_.gc_runs.value();
-    s.relocations = counters_.relocations.value();
-    s.wear_swaps = counters_.wear_swaps.value();
-    s.program_fail_rewrites = counters_.program_fail_rewrites.value();
-    s.grown_bad_blocks = counters_.grown_bad_blocks.value();
-    return s;
+    return telemetry::load(live_);
   }
   [[nodiscard]] std::uint32_t free_blocks() const noexcept {
     return static_cast<std::uint32_t>(free_.size());
@@ -223,19 +226,10 @@ class PageMappedFtl {
   RelocationHook hook_;
   PreEraseHook pre_erase_hook_;
 
-  // Per-instance counters behind stats_snapshot(): the only count of each
-  // event (gtest runs many FTLs in one process, so these cannot live in the
-  // global registry).
-  struct Counters {
-    telemetry::Counter host_writes;
-    telemetry::Counter nand_writes;
-    telemetry::Counter gc_runs;
-    telemetry::Counter relocations;
-    telemetry::Counter wear_swaps;
-    telemetry::Counter program_fail_rewrites;
-    telemetry::Counter grown_bad_blocks;
-  };
-  Counters counters_;
+  // The live counts behind stats_snapshot(), bumped in place: the only
+  // count of each event (gtest runs many FTLs in one process, so these
+  // cannot live in the global registry).
+  mutable FtlStats live_;
 };
 
 }  // namespace stash::ftl

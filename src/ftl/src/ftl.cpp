@@ -96,7 +96,7 @@ Result<PageAddr> PageMappedFtl::program_with_recovery(
     // The failed attempt consumed dst: the page may hold partial charge and
     // only an erase reclaims it.  Charge the failure to its block and place
     // the data elsewhere.
-    counters_.program_fail_rewrites.inc();
+    telemetry::bump(live_.program_fail_rewrites);
     note_program_failure(dst.block);
   }
   return Status{ErrorCode::kProgramFail, "page placement exhausted retries"};
@@ -115,7 +115,7 @@ void PageMappedFtl::note_program_failure(std::uint32_t block) {
 Status PageMappedFtl::retire_block(std::uint32_t block) {
   if (bad_[block]) return Status::ok();
   bad_[block] = true;
-  counters_.grown_bad_blocks.inc();
+  telemetry::bump(live_.grown_bad_blocks);
   free_.erase(std::remove(free_.begin(), free_.end(), block), free_.end());
   if (active_block_ && *active_block_ == block) {
     active_block_.reset();
@@ -148,8 +148,8 @@ Status PageMappedFtl::drain_block(std::uint32_t block) {
       p2l_[phys_index(to)] = lpn;
       ++valid_count_[to.block];
     }
-    counters_.nand_writes.inc();
-    counters_.relocations.inc();
+    telemetry::bump(live_.nand_writes);
+    telemetry::bump(live_.relocations);
   }
   return Status::ok();
 }
@@ -186,8 +186,8 @@ Status PageMappedFtl::write(std::uint64_t lpn,
     p2l_[phys_index(dst)] = lpn;
     ++valid_count_[dst.block];
   }
-  counters_.host_writes.inc();
-  counters_.nand_writes.inc();
+  telemetry::bump(live_.host_writes);
+  telemetry::bump(live_.nand_writes);
 
   STASH_RETURN_IF_ERROR(maybe_wear_level());
   return Status::ok();
@@ -392,7 +392,7 @@ Status PageMappedFtl::run_gc() {
   if (slack < valid_count_[victim]) {
     return {ErrorCode::kNoSpace, "insufficient slack to relocate GC victim"};
   }
-  counters_.gc_runs.inc();
+  telemetry::bump(live_.gc_runs);
   gc_active_ = true;
   trace::ScopedSpan span(trace::Stage::kFtlGc, trace::Op::kGc, victim);
   const Status status = relocate_block(victim);
@@ -424,7 +424,7 @@ Status PageMappedFtl::maybe_wear_level() {
   }
   if (active_block_ && *active_block_ == coldest) return Status::ok();
   if (gc_active_) return Status::ok();
-  counters_.wear_swaps.inc();
+  telemetry::bump(live_.wear_swaps);
   gc_active_ = true;
   const Status status = relocate_block(coldest);
   gc_active_ = false;

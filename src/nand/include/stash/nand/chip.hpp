@@ -31,13 +31,13 @@
 //     callers that need reproducibility must submit same-block operations
 //     in a deterministic order.  Within one operation, per-cell draws are
 //     order-independent by construction.
-//   * The cost ledger accumulates in fixed-point atomics, so totals are
-//     exact and thread-count independent.
+//   * The cost ledger accumulates in fixed-point integers through relaxed
+//     atomic adds, so totals are exact and thread-count independent.
 //   * Whole-chip sweeps (bake(), voltage_histogram(), program_block_random)
 //     and accessors returning raw state assume no concurrent mutation of
 //     the blocks they visit.
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,6 +49,7 @@
 #include "stash/nand/fault_injector.hpp"
 #include "stash/nand/geometry.hpp"
 #include "stash/nand/noise.hpp"
+#include "stash/telemetry/metrics.hpp"
 #include "stash/util/histogram.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/status.hpp"
@@ -192,7 +193,7 @@ class FlashChip {
   [[nodiscard]] util::Histogram page_voltage_histogram(
       std::uint32_t block, std::uint32_t page, std::size_t bins = 256) const;
 
-  /// Materialized snapshot of the fixed-point atomic ledger.  Safe to call
+  /// Materialized snapshot of the fixed-point ledger.  Safe to call
   /// while operations run on other threads; totals are exact (integer
   /// nanosecond/nanojoule accumulation) and independent of thread count.
   [[nodiscard]] CostLedger ledger() const noexcept;
@@ -271,15 +272,24 @@ class FlashChip {
     std::vector<std::optional<std::vector<std::uint32_t>>> weak_cells;
   };
 
-  /// Fixed-point ledger accumulator: integer adds commute, so the totals a
-  /// multi-threaded run reports are bit-identical to a serial run's.
-  struct AtomicLedger {
-    std::atomic<std::uint64_t> time_ns{0};
-    std::atomic<std::uint64_t> energy_nj{0};
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> programs{0};
-    std::atomic<std::uint64_t> erases{0};
-    std::atomic<std::uint64_t> partial_programs{0};
+  /// Fixed-point ledger totals, bumped in place: integer adds commute, so
+  /// the totals a multi-threaded run reports are bit-identical to a serial
+  /// run's.  kFields order is the serialize_meta record's.
+  struct LedgerCounts {
+    std::uint64_t time_ns = 0;
+    std::uint64_t energy_nj = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t programs = 0;
+    std::uint64_t erases = 0;
+    std::uint64_t partial_programs = 0;
+    static constexpr std::array<telemetry::Field<LedgerCounts>, 6> kFields{{
+        {"time_ns", &LedgerCounts::time_ns},
+        {"energy_nj", &LedgerCounts::energy_nj},
+        {"reads", &LedgerCounts::reads},
+        {"programs", &LedgerCounts::programs},
+        {"erases", &LedgerCounts::erases},
+        {"partial_programs", &LedgerCounts::partial_programs},
+    }};
   };
 
   /// `block` must be in range (callers check_addr first).
@@ -326,10 +336,10 @@ class FlashChip {
   OpCosts costs_;
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Block>> blocks_;
-  // Heap-held so the defaulted moves stay valid (mutexes and atomics are
-  // not movable).  Moving a chip while operations are in flight is UB.
+  // Heap-held so the defaulted moves stay valid (mutexes are not
+  // movable).  Moving a chip while operations are in flight is UB.
   std::unique_ptr<std::mutex[]> locks_;
-  std::unique_ptr<AtomicLedger> ledger_;
+  mutable LedgerCounts ledger_;
   FaultInjector* fault_ = nullptr;
 };
 

@@ -53,15 +53,12 @@ Scratch& scratch() {
 }
 
 /// Process-wide instrument handles, resolved once so the per-operation cost
-/// is a single relaxed atomic add.  Counts mirror the CostLedger semantics
-/// (a voltage probe is charged as a read; a stress cycle as a program).
+/// is a single relaxed atomic add.  Reads, programs, erases and partial
+/// programs are counted per chip in the cost ledger only; these are the
+/// events it has no field for.
 struct ChipTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& programs = reg.counter("nand.programs");
-  telemetry::Counter& partial_programs = reg.counter("nand.partial_programs");
   telemetry::Counter& fine_programs = reg.counter("nand.fine_programs");
-  telemetry::Counter& erases = reg.counter("nand.erases");
-  telemetry::Counter& reads = reg.counter("nand.reads");
   telemetry::Counter& probes = reg.counter("nand.probes");
   telemetry::Counter& stress_ops = reg.counter("nand.stress_ops");
   /// Per-block PEC observed at each erase: the wear distribution.
@@ -86,8 +83,7 @@ FlashChip::FlashChip(const Geometry& geometry, const NoiseModel& noise,
       costs_(costs),
       seed_(serial_seed),
       blocks_(geometry.blocks),
-      locks_(std::make_unique<std::mutex[]>(geometry.blocks)),
-      ledger_(std::make_unique<AtomicLedger>()) {
+      locks_(std::make_unique<std::mutex[]>(geometry.blocks)) {
   if (util::Status valid = noise.validate(); !valid.is_ok()) {
     throw std::invalid_argument(valid.to_string());
   }
@@ -96,30 +92,26 @@ FlashChip::FlashChip(const Geometry& geometry, const NoiseModel& noise,
 void FlashChip::charge(double us, double uj) noexcept {
   // Fixed-point (nano-unit) accumulation: integer adds are exact and
   // commutative, so ledger totals are independent of thread interleaving.
-  ledger_->time_ns.fetch_add(static_cast<std::uint64_t>(std::llround(us * 1e3)),
-                             std::memory_order_relaxed);
-  ledger_->energy_nj.fetch_add(
-      static_cast<std::uint64_t>(std::llround(uj * 1e3)),
-      std::memory_order_relaxed);
+  telemetry::bump(ledger_.time_ns,
+                  static_cast<std::uint64_t>(std::llround(us * 1e3)));
+  telemetry::bump(ledger_.energy_nj,
+                  static_cast<std::uint64_t>(std::llround(uj * 1e3)));
 }
 
 std::uint64_t FlashChip::time_ns() const noexcept {
-  return ledger_->time_ns.load(std::memory_order_relaxed);
+  return std::atomic_ref<std::uint64_t>(ledger_.time_ns)
+      .load(std::memory_order_relaxed);
 }
 
 CostLedger FlashChip::ledger() const noexcept {
+  const LedgerCounts counts = telemetry::load(ledger_);
   CostLedger l;
-  l.time_us =
-      static_cast<double>(ledger_->time_ns.load(std::memory_order_relaxed)) /
-      1e3;
-  l.energy_uj =
-      static_cast<double>(ledger_->energy_nj.load(std::memory_order_relaxed)) /
-      1e3;
-  l.reads = ledger_->reads.load(std::memory_order_relaxed);
-  l.programs = ledger_->programs.load(std::memory_order_relaxed);
-  l.erases = ledger_->erases.load(std::memory_order_relaxed);
-  l.partial_programs =
-      ledger_->partial_programs.load(std::memory_order_relaxed);
+  l.time_us = static_cast<double>(counts.time_ns) / 1e3;
+  l.energy_uj = static_cast<double>(counts.energy_nj) / 1e3;
+  l.reads = counts.reads;
+  l.programs = counts.programs;
+  l.erases = counts.erases;
+  l.partial_programs = counts.partial_programs;
   return l;
 }
 
@@ -130,12 +122,7 @@ FaultDecision FlashChip::consult_fault(FaultOp op, std::uint32_t block,
 }
 
 void FlashChip::reset_ledger() noexcept {
-  ledger_->time_ns.store(0, std::memory_order_relaxed);
-  ledger_->energy_nj.store(0, std::memory_order_relaxed);
-  ledger_->reads.store(0, std::memory_order_relaxed);
-  ledger_->programs.store(0, std::memory_order_relaxed);
-  ledger_->erases.store(0, std::memory_order_relaxed);
-  ledger_->partial_programs.store(0, std::memory_order_relaxed);
+  telemetry::store(ledger_, LedgerCounts{});
 }
 
 Status FlashChip::check_addr(std::uint32_t block, std::uint32_t page) const {
@@ -298,8 +285,7 @@ Status FlashChip::erase_block(std::uint32_t block) {
       fd.power_cut ? ErrorCode::kPowerLoss
       : fd.fail    ? ErrorCode::kEraseFail
                    : ErrorCode::kOk));
-  ledger_->erases.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().erases.inc();
+  telemetry::bump(ledger_.erases);
   chip_telemetry().pec_at_erase.record(blk.pec);
   if (fd.power_cut) return {ErrorCode::kPowerLoss, "power lost during erase"};
   if (fd.fail) return {ErrorCode::kEraseFail, "erase reported status failure"};
@@ -387,8 +373,7 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
       fd.power_cut ? ErrorCode::kPowerLoss
       : fd.fail    ? ErrorCode::kProgramFail
                    : ErrorCode::kOk));
-  ledger_->programs.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().programs.inc();
+  telemetry::bump(ledger_.programs);
   if (fd.power_cut) return {ErrorCode::kPowerLoss, "power lost during program"};
   if (fd.fail) return {ErrorCode::kProgramFail, "program reported status failure"};
   return Status::ok();
@@ -465,8 +450,7 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
   }
 
   charge(costs_.read_us, costs_.read_uj);
-  ledger_->reads.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().reads.inc();
+  telemetry::bump(ledger_.reads);
   if (fault_) {
     const std::lock_guard<std::mutex> fault_guard(fault_mutex());
     fault_->corrupt_read(block, page, {out.data(), cells}, vref);
@@ -500,8 +484,7 @@ Status FlashChip::probe_voltages_into(std::uint32_t block, std::uint32_t page,
       blk.v.data() + static_cast<std::size_t>(page) * geom_.cells_per_page;
   kernels::quantize_row(row, out.data(), geom_.cells_per_page);
   charge(costs_.read_us, costs_.read_uj);
-  ledger_->reads.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().reads.inc();
+  telemetry::bump(ledger_.reads);
   chip_telemetry().probes.inc();
   if (fault_) {
     const std::lock_guard<std::mutex> fault_guard(fault_mutex());
@@ -557,8 +540,7 @@ Status FlashChip::partial_program(std::uint32_t block, std::uint32_t page,
       fd.power_cut ? ErrorCode::kPowerLoss
       : fd.fail    ? ErrorCode::kProgramFail
                    : ErrorCode::kOk));
-  ledger_->partial_programs.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().partial_programs.inc();
+  telemetry::bump(ledger_.partial_programs);
   if (fd.power_cut) {
     return {ErrorCode::kPowerLoss, "power lost during partial program"};
   }
@@ -610,8 +592,7 @@ Status FlashChip::fine_program(std::uint32_t block, std::uint32_t page,
       fd.power_cut ? ErrorCode::kPowerLoss
       : fd.fail    ? ErrorCode::kProgramFail
                    : ErrorCode::kOk));
-  ledger_->partial_programs.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().partial_programs.inc();
+  telemetry::bump(ledger_.partial_programs);
   chip_telemetry().fine_programs.inc();
   if (fd.power_cut) {
     return {ErrorCode::kPowerLoss, "power lost during fine program"};
@@ -638,8 +619,7 @@ Status FlashChip::stress_cells(std::uint32_t block, std::uint32_t page,
   }
   // Ledger: PT-HI pays one program per stress cycle on this page.
   charge(costs_.program_us * cycles, costs_.program_uj * cycles);
-  ledger_->programs.fetch_add(cycles, std::memory_order_relaxed);
-  chip_telemetry().programs.inc(cycles);
+  telemetry::bump(ledger_.programs, cycles);
   chip_telemetry().stress_ops.inc();
   return Status::ok();
 }
@@ -704,8 +684,7 @@ Status FlashChip::age_cycles(std::uint32_t block, std::uint32_t n,
   ++blk.epoch;  // one epoch for the whole fast-forward redraw
   if (charge_ledger) {
     charge(costs_.erase_us * n, costs_.erase_uj * n);
-    ledger_->erases.fetch_add(n, std::memory_order_relaxed);
-    chip_telemetry().erases.inc(n);
+    telemetry::bump(ledger_.erases, n);
   }
   // Equivalent end state of n random-data cycles: block left erased.
   blk.next_program_page = 0;
@@ -909,25 +888,18 @@ Status FlashChip::deserialize_block(std::uint32_t block,
 
 void FlashChip::serialize_meta(std::vector<std::uint8_t>& out) const {
   util::ByteWriter w(out);
-  w.u64(ledger_->time_ns.load(std::memory_order_relaxed));
-  w.u64(ledger_->energy_nj.load(std::memory_order_relaxed));
-  w.u64(ledger_->reads.load(std::memory_order_relaxed));
-  w.u64(ledger_->programs.load(std::memory_order_relaxed));
-  w.u64(ledger_->erases.load(std::memory_order_relaxed));
-  w.u64(ledger_->partial_programs.load(std::memory_order_relaxed));
+  const LedgerCounts counts = telemetry::load(ledger_);
+  for (const auto& f : LedgerCounts::kFields) w.u64(counts.*f.member);
 }
 
 Status FlashChip::deserialize_meta(std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
-  std::uint64_t v[6] = {};
-  for (auto& field : v) STASH_RETURN_IF_ERROR(r.u64(field));
+  LedgerCounts counts;
+  for (const auto& f : LedgerCounts::kFields) {
+    STASH_RETURN_IF_ERROR(r.u64(counts.*f.member));
+  }
   STASH_RETURN_IF_ERROR(r.expect_exhausted());
-  ledger_->time_ns.store(v[0], std::memory_order_relaxed);
-  ledger_->energy_nj.store(v[1], std::memory_order_relaxed);
-  ledger_->reads.store(v[2], std::memory_order_relaxed);
-  ledger_->programs.store(v[3], std::memory_order_relaxed);
-  ledger_->erases.store(v[4], std::memory_order_relaxed);
-  ledger_->partial_programs.store(v[5], std::memory_order_relaxed);
+  telemetry::store(ledger_, counts);
   return Status::ok();
 }
 

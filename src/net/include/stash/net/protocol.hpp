@@ -114,8 +114,9 @@ void encode_response(const Response& resp, std::vector<std::uint8_t>& out);
 Status decode_request(std::span<const std::uint8_t> body, Request& out);
 Status decode_response(std::span<const std::uint8_t> body, Response& out);
 
-/// DeviceStats as a stats-response payload (fixed field order, all u64;
-/// protocol v2 appends the hidden/pack counters).
+/// DeviceStats as a stats-response payload: every DeviceStats::kFields
+/// field as a u64, in table order (protocol v2 appends the hidden/pack
+/// counters, v3 bytes_copied).
 void encode_device_stats(const dev::DeviceStats& stats,
                          std::vector<std::uint8_t>& out);
 Status decode_device_stats(std::span<const std::uint8_t> bytes,

@@ -32,12 +32,14 @@
 //     only event counts, never wall-clock values; wall latencies go to the
 //     global net.* histograms instead.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "stash/dev/device.hpp"
 #include "stash/net/protocol.hpp"
+#include "stash/telemetry/metrics.hpp"
 #include "stash/util/status.hpp"
 
 namespace stash::net {
@@ -63,7 +65,8 @@ struct ServerConfig {
 
 /// Per-instance event counts.  Everything here is a pure function of the
 /// request/response byte streams (no wall-clock values), which is what
-/// makes deterministic-mode stats_json() byte-stable.
+/// makes deterministic-mode stats_json() byte-stable.  The reactor bumps a
+/// live instance in place; kFields lists the scalars in stats_json() order.
 struct NetStats {
   std::uint64_t accepted = 0;
   std::uint64_t disconnected = 0;
@@ -78,6 +81,18 @@ struct NetStats {
   std::uint64_t protocol_errors = 0;
   /// Requests by op, indexed by OpCode - 1 (read ... hidden_info).
   std::uint64_t ops[kOpCount] = {};
+
+  static constexpr std::array<telemetry::Field<NetStats>, 9> kFields{{
+      {"accepted", &NetStats::accepted},
+      {"disconnected", &NetStats::disconnected},
+      {"requests", &NetStats::requests},
+      {"responses", &NetStats::responses},
+      {"dropped", &NetStats::dropped},
+      {"rx_bytes", &NetStats::rx_bytes},
+      {"tx_bytes", &NetStats::tx_bytes},
+      {"pipeline_stalls", &NetStats::pipeline_stalls},
+      {"protocol_errors", &NetStats::protocol_errors},
+  }};
 };
 
 class Server {

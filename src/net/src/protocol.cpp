@@ -114,49 +114,15 @@ Status decode_response(std::span<const std::uint8_t> body, Response& out) {
 void encode_device_stats(const dev::DeviceStats& stats,
                          std::vector<std::uint8_t>& out) {
   ByteWriter w(out);
-  w.u64(stats.reads);
-  w.u64(stats.writes);
-  w.u64(stats.trims);
-  w.u64(stats.cache_hits);
-  w.u64(stats.cache_misses);
-  w.u64(stats.buffer_hits);
-  w.u64(stats.coalesced_writes);
-  w.u64(stats.coalesced_reads);
-  w.u64(stats.dispatches);
-  w.u64(stats.deadline_dispatches);
-  w.u64(stats.flushes);
-  w.u64(stats.flushed_pages);
-  w.u64(stats.lost_writes);
-  w.u64(stats.gc_runs);
-  w.u64(stats.hidden_stores);
-  w.u64(stats.hidden_loads);
-  w.u64(stats.pack_logical_bytes);
-  w.u64(stats.pack_packed_bytes);
-  w.u64(stats.bytes_copied);
+  for (const auto& f : dev::DeviceStats::kFields) w.u64(stats.*f.member);
 }
 
 Status decode_device_stats(std::span<const std::uint8_t> bytes,
                            dev::DeviceStats& out) {
   ByteReader r(bytes);
-  STASH_RETURN_IF_ERROR(r.u64(out.reads));
-  STASH_RETURN_IF_ERROR(r.u64(out.writes));
-  STASH_RETURN_IF_ERROR(r.u64(out.trims));
-  STASH_RETURN_IF_ERROR(r.u64(out.cache_hits));
-  STASH_RETURN_IF_ERROR(r.u64(out.cache_misses));
-  STASH_RETURN_IF_ERROR(r.u64(out.buffer_hits));
-  STASH_RETURN_IF_ERROR(r.u64(out.coalesced_writes));
-  STASH_RETURN_IF_ERROR(r.u64(out.coalesced_reads));
-  STASH_RETURN_IF_ERROR(r.u64(out.dispatches));
-  STASH_RETURN_IF_ERROR(r.u64(out.deadline_dispatches));
-  STASH_RETURN_IF_ERROR(r.u64(out.flushes));
-  STASH_RETURN_IF_ERROR(r.u64(out.flushed_pages));
-  STASH_RETURN_IF_ERROR(r.u64(out.lost_writes));
-  STASH_RETURN_IF_ERROR(r.u64(out.gc_runs));
-  STASH_RETURN_IF_ERROR(r.u64(out.hidden_stores));
-  STASH_RETURN_IF_ERROR(r.u64(out.hidden_loads));
-  STASH_RETURN_IF_ERROR(r.u64(out.pack_logical_bytes));
-  STASH_RETURN_IF_ERROR(r.u64(out.pack_packed_bytes));
-  STASH_RETURN_IF_ERROR(r.u64(out.bytes_copied));
+  for (const auto& f : dev::DeviceStats::kFields) {
+    STASH_RETURN_IF_ERROR(r.u64(out.*f.member));
+  }
   return r.expect_exhausted();
 }
 

@@ -18,7 +18,6 @@
 #include <future>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -111,8 +110,7 @@ struct Server::Impl {
   std::atomic<bool> stop_requested{false};
   std::atomic<bool> live{false};
 
-  mutable std::mutex stats_mu;
-  NetStats stats;
+  NetStats stats;  // the reactor bumps; any thread loads
 
   /// One in-flight request of a connection, front-resolved in order.
   struct Pending {
@@ -146,13 +144,6 @@ struct Server::Impl {
 
   Impl(dev::StashDevice& d, ServerConfig c) : device(d), config(std::move(c)) {}
 
-  // ---- Stats helpers (reactor thread mutates, any thread snapshots) -------
-  template <typename Fn>
-  void bump(Fn&& fn) {
-    const std::lock_guard<std::mutex> lock(stats_mu);
-    fn(stats);
-  }
-
   // ---- Socket plumbing -----------------------------------------------------
   void set_epoll_events(Conn& c, std::uint32_t events) {
     if (c.events == events) return;
@@ -172,7 +163,7 @@ struct Server::Impl {
     if (c.out_off < c.outbuf.size()) events |= EPOLLOUT;
     if (!window_open && !c.throttled && !c.close_after_flush) {
       c.throttled = true;
-      bump([](NetStats& s) { ++s.pipeline_stalls; });
+      telemetry::bump(stats.pipeline_stalls);
     } else if (window_open && c.throttled) {
       c.throttled = false;
     }
@@ -203,7 +194,7 @@ struct Server::Impl {
         continue;
       }
       conns.emplace(fd, std::move(conn));
-      bump([](NetStats& s) { ++s.accepted; });
+      telemetry::bump(stats.accepted);
       net_telemetry().active.set(static_cast<double>(conns.size()));
     }
   }
@@ -212,15 +203,13 @@ struct Server::Impl {
   /// Decode and submit one frame; returns true when it queued device work
   /// (something a drain round must resolve).
   bool handle_frame(Conn& c, std::span<const std::uint8_t> body) {
-    bump([](NetStats& s) { ++s.requests; });
+    telemetry::bump(stats.requests);
     Request req;
     if (const Status st = decode_request(body, req); !st.is_ok()) {
       protocol_error(c, st);
       return false;
     }
-    bump([&](NetStats& s) {
-      ++s.ops[static_cast<std::size_t>(req.op) - 1];
-    });
+    telemetry::bump(stats.ops[static_cast<std::size_t>(req.op) - 1]);
 
     Pending p;
     p.op = req.op;
@@ -333,7 +322,7 @@ struct Server::Impl {
   }
 
   void protocol_error(Conn& c, const Status& st) {
-    bump([](NetStats& s) { ++s.protocol_errors; });
+    telemetry::bump(stats.protocol_errors);
     Pending p;  // answer what can still be answered, then hang up
     p.ready.op = OpCode::kPing;
     p.ready.status = static_cast<std::uint8_t>(st.code());
@@ -368,9 +357,7 @@ struct Server::Impl {
     for (;;) {
       const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
       if (n > 0) {
-        bump([&](NetStats& s) {
-          s.rx_bytes += static_cast<std::uint64_t>(n);
-        });
+        telemetry::bump(stats.rx_bytes, static_cast<std::uint64_t>(n));
         c.assembler.feed({buf, static_cast<std::size_t>(n)});
         if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         continue;
@@ -437,7 +424,7 @@ struct Server::Impl {
       --in_flight;
       const Response resp = take_response(p);
       encode_response(resp, c.outbuf);
-      bump([](NetStats& s) { ++s.responses; });
+      telemetry::bump(stats.responses);
       latency_of(p.op).record(wall_elapsed_ns(p.start));
     }
   }
@@ -448,9 +435,7 @@ struct Server::Impl {
                                c.outbuf.size() - c.out_off, MSG_NOSIGNAL);
       if (n > 0) {
         c.out_off += static_cast<std::size_t>(n);
-        bump([&](NetStats& s) {
-          s.tx_bytes += static_cast<std::uint64_t>(n);
-        });
+        telemetry::bump(stats.tx_bytes, static_cast<std::uint64_t>(n));
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -484,7 +469,7 @@ struct Server::Impl {
         z.pending.pop_front();
         --in_flight;
         (void)take_response(p);  // consume, never abandon
-        bump([](NetStats& s) { ++s.dropped; });
+        telemetry::bump(stats.dropped);
       }
       it = z.pending.empty() ? zombies.erase(it) : std::next(it);
     }
@@ -502,7 +487,7 @@ struct Server::Impl {
       (void)epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
       ::close(c.fd);
       c.fd = -1;
-      bump([](NetStats& s) { ++s.disconnected; });
+      telemetry::bump(stats.disconnected);
       if (!c.pending.empty()) zombies.push_back(std::move(it->second));
       it = conns.erase(it);
     }
@@ -599,7 +584,7 @@ struct Server::Impl {
         z->pending.pop_front();
         --in_flight;
         (void)take_response(p);
-        bump([](NetStats& s) { ++s.dropped; });
+        telemetry::bump(stats.dropped);
       }
     }
     zombies.clear();
@@ -706,33 +691,25 @@ bool Server::running() const noexcept {
 std::uint16_t Server::port() const noexcept { return impl_->bound_port; }
 
 NetStats Server::stats_snapshot() const {
-  const std::lock_guard<std::mutex> lock(impl_->stats_mu);
-  return impl_->stats;
+  NetStats s = telemetry::load(impl_->stats);
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    s.ops[i] = std::atomic_ref<std::uint64_t>(impl_->stats.ops[i])
+                   .load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 std::string Server::stats_json() const {
   const NetStats s = stats_snapshot();
   std::string json = "{";
-  const auto field = [&json](const char* name, std::uint64_t v,
-                             bool comma = true) {
-    json += '"';
-    json += name;
-    json += "\":";
-    json += std::to_string(v);
-    if (comma) json += ',';
-  };
-  field("accepted", s.accepted);
-  field("disconnected", s.disconnected);
-  field("requests", s.requests);
-  field("responses", s.responses);
-  field("dropped", s.dropped);
-  field("rx_bytes", s.rx_bytes);
-  field("tx_bytes", s.tx_bytes);
-  field("pipeline_stalls", s.pipeline_stalls);
-  field("protocol_errors", s.protocol_errors);
-  json += "\"ops\":{";
+  telemetry::append_json_fields(json, s);
+  json += ",\"ops\":{";
   for (std::size_t i = 0; i < kOpCount; ++i) {
-    field(op_name(static_cast<OpCode>(i + 1)), s.ops[i], i + 1 < kOpCount);
+    if (i > 0) json += ',';
+    json += '"';
+    json += op_name(static_cast<OpCode>(i + 1));
+    json += "\":";
+    json += std::to_string(s.ops[i]);
   }
   json += "}}";
   return json;

@@ -12,11 +12,18 @@
 //
 // One count per event: an event that a per-instance stats API already
 // counts (FtlStats, DeviceStats, NetStats, StegoStats, FaultStats) lives
-// there only, in a Counter owned by that instance.  The global registry
-// carries what has no per-instance home: latency histograms, queue and
-// buffer gauges, and the counters of layers without a stats struct.
+// there only.  The global registry carries what has no per-instance home:
+// latency histograms, queue and buffer gauges, and the counters of layers
+// without a stats struct.
+//
+// One declaration per stats struct: a threaded layer's public stats struct
+// is also its live counter set.  The struct lists its u64 fields once, in
+// export order, as `static constexpr std::array<Field<S>, N> kFields`; the
+// owner bumps fields of a live instance in place, and load(), JSON export,
+// wire codecs and serialization all iterate that one table.
 
 #include <atomic>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -25,8 +32,8 @@
 
 namespace stash::telemetry {
 
-/// Monotonic event count, in a registry or behind a per-instance stats
-/// API.  Increment is one relaxed atomic add.
+/// Monotonic event count in a registry.  Increment is one relaxed atomic
+/// add.
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept {
@@ -42,6 +49,59 @@ class Counter {
  private:
   std::atomic<std::uint64_t> value_{0};
 };
+
+/// One u64 field of a stats struct S, named as it is exported.
+template <typename S>
+struct Field {
+  std::string_view name;
+  std::uint64_t S::*member;
+};
+
+/// Count `n` events into a field of a live stats struct: one relaxed
+/// atomic add, the same code as Counter::inc.
+inline void bump(std::uint64_t& field, std::uint64_t n = 1) noexcept {
+  static_assert(std::atomic_ref<std::uint64_t>::required_alignment <=
+                    alignof(std::uint64_t),
+                "a plain u64 field must be usable as an atomic");
+  std::atomic_ref<std::uint64_t>(field).fetch_add(n,
+                                                  std::memory_order_relaxed);
+}
+
+/// Copy of a live stats struct: each S::kFields field read with a relaxed
+/// load (fields outside the table stay value-initialized).  Each field is
+/// monotone across loads; fields are not a consistent cut of each other.
+template <typename S>
+[[nodiscard]] S load(S& live) noexcept {
+  S out{};
+  for (const auto& f : S::kFields) {
+    out.*f.member = std::atomic_ref<std::uint64_t>(live.*f.member)
+                        .load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+/// Overwrite every S::kFields field of a live stats struct with relaxed
+/// stores (reset, restore).
+template <typename S>
+void store(S& live, const S& value) noexcept {
+  for (const auto& f : S::kFields) {
+    std::atomic_ref<std::uint64_t>(live.*f.member)
+        .store(value.*f.member, std::memory_order_relaxed);
+  }
+}
+
+/// Append `"name":value` for every S::kFields field, comma-separated, in
+/// table order (no enclosing braces).
+template <typename S>
+void append_json_fields(std::string& out, const S& s) {
+  for (std::size_t i = 0; i < S::kFields.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '"';
+    out += S::kFields[i].name;
+    out += "\":";
+    out += std::to_string(s.*S::kFields[i].member);
+  }
+}
 
 /// Last-written point-in-time value (free blocks, wear spread, ...).
 class Gauge {
