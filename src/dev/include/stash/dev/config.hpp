@@ -41,16 +41,13 @@ struct DeviceConfig {
   unsigned threads = 1;
 
   // ---- Request scheduler --------------------------------------------------
-  /// Bound of the submission queue.  Reaching it dispatches inline on the
-  /// submitting caller (backpressure: the producer pays for the drain).
+  /// Bound of the submission queue (it also sizes the read arena).
   std::size_t queue_depth = 64;
-  /// Requests coalesced into one *_batch call per dispatch round.
+  /// Requests coalesced into one *_batch call per dispatch round.  This
+  /// many queued requests dispatch inline on the submitting caller
+  /// (backpressure: the producer pays for the drain); fewer wait for the
+  /// next drain (StashDevice::drain or a synchronous call).
   std::size_t batch_pages = 16;
-  /// Deadline, in submission ticks: a request that has waited this many
-  /// submissions is dispatched on the next submit even if the batch is not
-  /// full.  Tick-based (not wall-clock) so the schedule stays a pure
-  /// function of the submission sequence.
-  std::uint64_t deadline_ticks = 32;
 
   // ---- Caching ------------------------------------------------------------
   /// Read LRU capacity in pages across all shards; 0 disables the cache.
@@ -99,10 +96,6 @@ struct DeviceConfig {
     if (batch_pages == 0 || batch_pages > queue_depth) {
       return Status{ErrorCode::kInvalidArgument,
                     "DeviceConfig: batch_pages must be in [1, queue_depth]"};
-    }
-    if (deadline_ticks == 0) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "DeviceConfig: deadline_ticks must be >= 1"};
     }
     if (read_cache_shards == 0) {
       return Status{ErrorCode::kInvalidArgument,

@@ -10,18 +10,20 @@
 //
 //   * Asynchronous submission: submit_read / submit_write / submit_trim /
 //     submit_store_hidden / submit_load_hidden / submit_gc return futures.
-//     The submission queue is bounded (DeviceConfig::queue_depth); filling
-//     it dispatches inline on the submitting caller — backpressure where
-//     the producer pays for the drain.
+//     The submission queue is bounded: a full batch (DeviceConfig::
+//     batch_pages <= queue_depth) dispatches inline on the submitting
+//     caller — backpressure where the producer pays for the drain.
 //   * QoS priority classes (Priority): within a dispatch round requests
 //     execute sorted by (priority, submission sequence) — foreground reads
 //     overtake queued background GC/hidden maintenance, and the tie-break
 //     keeps the schedule a pure function of the submission order.
-//   * Deadline-aware batching: dispatch normally waits for batch_pages
-//     requests so same-block reads coalesce into PageMappedFtl::read_batch
-//     (duplicate-lpn reads collapse to one physical read); a request older
-//     than deadline_ticks submissions forces dispatch.  Ticks, not wall
-//     clock, so the schedule is reproducible.
+//   * Dispatch on drain: a queued request runs at the next drain — drain(),
+//     a synchronous read/store/load, hidden_info(), a snapshot save or
+//     load, or the stash::net reactor's end of poll round — or when a
+//     batch is full.  Consecutive reads of a round coalesce into
+//     PageMappedFtl::read_batch (at most batch_pages per batch; duplicate
+//     lpns collapse to one physical read).  No clock is involved, so the
+//     schedule is reproducible.
 //   * Sharded read LRU (ReadCache) and a double-buffered write-back buffer
 //     (WriteBackBuffer) with an explicit flush().  A write is acknowledged
 //     when staged and durable when flush() returns OK.  A full open half is
@@ -136,7 +138,6 @@ struct DeviceStats {
   std::uint64_t coalesced_writes = 0; // buffered lpn overwritten before flush
   std::uint64_t coalesced_reads = 0;  // duplicate lpns collapsed in a batch
   std::uint64_t dispatches = 0;       // dispatch rounds executed
-  std::uint64_t deadline_dispatches = 0;  // rounds forced by deadline_ticks
   std::uint64_t flushes = 0;          // write-back halves handed to destage
   std::uint64_t flushed_pages = 0;    // buffer entries made durable
   std::uint64_t lost_writes = 0;      // acked writes lost to a cut
@@ -154,7 +155,7 @@ struct DeviceStats {
   // are the hidden-object segment reassembly on load_hidden.
   std::uint64_t bytes_copied = 0;
 
-  static constexpr std::array<telemetry::Field<DeviceStats>, 19> kFields{{
+  static constexpr std::array<telemetry::Field<DeviceStats>, 18> kFields{{
       {"reads", &DeviceStats::reads},
       {"writes", &DeviceStats::writes},
       {"trims", &DeviceStats::trims},
@@ -164,7 +165,6 @@ struct DeviceStats {
       {"coalesced_writes", &DeviceStats::coalesced_writes},
       {"coalesced_reads", &DeviceStats::coalesced_reads},
       {"dispatches", &DeviceStats::dispatches},
-      {"deadline_dispatches", &DeviceStats::deadline_dispatches},
       {"flushes", &DeviceStats::flushes},
       {"flushed_pages", &DeviceStats::flushed_pages},
       {"lost_writes", &DeviceStats::lost_writes},
@@ -269,15 +269,10 @@ class StashDevice {
   /// of a background destage since the last flush) the un-persisted
   /// entries stay buffered.
   Status flush();
-  /// Dispatch everything queued (does not flush).
+  /// Dispatch everything queued (does not flush).  An asynchronous caller
+  /// calls this once it has submitted what it has: short of a full batch,
+  /// nothing else runs a queued request.
   void drain();
-  /// Advance the deadline clock without submitting: the tick clock
-  /// otherwise only moves with submissions, so when clients go quiet a
-  /// sub-batch queue would wait forever.  Idle callers (the stash::net
-  /// poll loop, a timer thread) call this periodically; a request older
-  /// than deadline_ticks dispatches exactly as a submission-driven
-  /// deadline would.  Returns the queue depth after any dispatch.
-  std::size_t idle_tick();
   /// Called (from a destage worker, under the device lock: keep it short
   /// and never call back into the device) whenever a completed destage
   /// admitted pending writes, i.e. made their futures ready.  An event
@@ -355,7 +350,6 @@ class StashDevice {
     OpKind kind = OpKind::kRead;
     Priority priority = Priority::kForeground;
     std::uint64_t seq = 0;
-    std::uint64_t enqueue_tick = 0;
     std::uint64_t lpn = 0;
     std::vector<std::uint8_t> data;  // store_hidden payload
     std::promise<Result<PageRef>> value_promise;
@@ -477,7 +471,6 @@ class StashDevice {
   mutable std::mutex mu_;
   std::list<Request> queue_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t tick_ = 0;
   std::uint64_t trace_seq_ = 0;     // requests considered for sampling
   std::uint64_t dispatch_seq_ = 0;  // dispatch-round trace ids
   /// Slab pool behind every read result: misses threshold straight into
@@ -502,8 +495,7 @@ class StashDevice {
   mutable std::condition_variable idle_cv_;   // waiters: destage idle
 
   // The live counts behind stats_snapshot() and stats_json(), bumped in
-  // place (gtest runs many devices in one process).  cache_hits and
-  // cache_misses stay 0 here: the cache counts those itself.
+  // place (gtest runs many devices in one process).
   mutable DeviceStats live_;
   /// One destage worker per chip (none in write-through mode); declared
   /// last so everything they touch outlives them.

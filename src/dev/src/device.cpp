@@ -300,20 +300,16 @@ void StashDevice::emit_request_trace(const trace::TraceContext& root,
 
 void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   req.seq = next_seq_++;
-  req.enqueue_tick = ++tick_;
   req.start = std::chrono::steady_clock::now();
   req.trace = new_request_trace(op_of(req.kind), req.lpn);
   if (req.trace.active()) req.enqueue_now = trace_now();
   queue_.push_back(std::move(req));
   dev_telemetry().queue_depth.set(static_cast<double>(queue_.size()));
-  if (queue_.size() >= config_.queue_depth) {
-    dispatch(lock);  // backpressure: the submitting caller pays the drain
-  } else if (queue_.size() >= config_.batch_pages) {
-    dispatch(lock);
-  } else if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    telemetry::bump(live_.deadline_dispatches);
-    dispatch(lock);
-  }
+  // A full batch dispatches on the submitting caller (backpressure: the
+  // producer pays for the drain); validate() keeps batch_pages <=
+  // queue_depth, so the queue never outgrows its bound.  Anything short of
+  // a batch waits for the next drain.
+  if (queue_.size() >= config_.batch_pages) dispatch(lock);
 }
 
 std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn,
@@ -345,7 +341,6 @@ std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
   write.start = std::chrono::steady_clock::now();
   auto fut = write.promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
-  ++tick_;
   auto& tel = dev_telemetry();
   if (write.trim) {
     telemetry::bump(live_.trims);
@@ -401,12 +396,6 @@ std::future<Status> StashDevice::submit_update(trace::Op op, std::uint64_t lpn,
                          static_cast<std::uint8_t>(st.code()));
     }
     write.promise.set_value(st);
-  }
-  // A queued read may be past its deadline now that the tick advanced.
-  if (!queue_.empty() &&
-      tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    telemetry::bump(live_.deadline_dispatches);
-    dispatch(lock);
   }
   return fut;
 }
@@ -644,8 +633,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
     }
     // Coalesce before consulting the cache: a repeat of an lpn already
     // destined for flash this round is one physical miss, not N — probing
-    // the cache again would double-count it at both the shard and the
-    // global counter.
+    // the cache again would count it as a miss once per repeat.
     std::size_t m = 0;
     while (m < misses.size() && misses[m].lpn != lpn) ++m;
     if (m < misses.size()) {
@@ -653,7 +641,11 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
       repeats.emplace_back(m, r);
       continue;
     }
-    if (auto cached = cache_.lookup(lpn)) {
+    auto cached = cache_.lookup(lpn);
+    if (cache_.enabled()) {
+      telemetry::bump(cached ? live_.cache_hits : live_.cache_misses);
+    }
+    if (cached) {
       telemetry::bump(live_.reads);
       reads[r].value_promise.set_value(std::move(*cached));
       tel.read_latency.record(elapsed_ns(reads[r].start));
@@ -1085,21 +1077,6 @@ void StashDevice::drain() {
   dispatch(lock);
 }
 
-std::size_t StashDevice::idle_tick() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (queue_.empty()) return 0;
-  // The deadline clock only advances with submissions, so a queue whose
-  // clients go quiet would starve its last requests forever.  An idle
-  // caller (the net server's poll loop, a timer) advances it here; the
-  // queue drains through the same deadline path a submission would take.
-  ++tick_;
-  if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    telemetry::bump(live_.deadline_dispatches);
-    dispatch(lock);
-  }
-  return queue_.size();
-}
-
 // ---- Fault integration -----------------------------------------------------
 
 void StashDevice::set_fault_injector(nand::FaultInjector* injector) noexcept {
@@ -1445,10 +1422,7 @@ nand::CostLedger StashDevice::ledger() const {
 }
 
 DeviceStats StashDevice::stats_snapshot() const noexcept {
-  DeviceStats s = telemetry::load(live_);
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
-  return s;
+  return telemetry::load(live_);
 }
 
 std::string StashDevice::stats_json() const {

@@ -6,12 +6,13 @@
 // (~2% BER) about 14% is required.  Codewords may be shortened arbitrarily.
 //
 // The decode hot loops (syndromes, Chien) run through the twin-compiled
-// kernels in bch_kernels.hpp; decode_reference() drives the scalar build of
-// the same bodies so tests can prove the SIMD build is bit-identical.  The
-// generator polynomial and the syndrome tables are fully determined by
-// (m, t), so every BchCode of the same parameters shares one const CodeData
-// through a process-lifetime registry — constructing the per-chip codecs
-// stops redoing the cyclotomic-coset generator product and table builds.
+// kernels in bch_kernels.hpp; decode_batch_reference() drives the scalar
+// build of the same bodies so tests can prove the SIMD build is
+// bit-identical.  The generator polynomial and the syndrome tables are
+// fully determined by (m, t), so every BchCode of the same parameters
+// shares one const CodeData through a process-lifetime registry —
+// constructing the per-chip codecs stops redoing the cyclotomic-coset
+// generator product and table builds.
 
 #include <cstdint>
 #include <memory>
@@ -63,22 +64,17 @@ class BchCode {
     bool ok = false;      // false when errors exceeded the t budget
   };
 
-  /// Decode a shortened codeword produced by encode() with
-  /// data_len = codeword.size() - parity_bits().
-  [[nodiscard]] DecodeResult decode(std::span<const std::uint8_t> codeword_bits) const;
-
-  /// Decode many codewords in one sweep, reusing one scratch set (packed
-  /// buffer, syndrome registers, Chien tables) across the whole batch.
-  /// Element i of the result decodes codewords[i]; results are identical to
-  /// per-codeword decode() at any batch split.
+  /// Decode shortened codewords produced by encode() (each with data_len =
+  /// codeword.size() - parity_bits()) in one sweep, reusing one scratch set
+  /// (packed buffer, syndrome registers, Chien tables) across the whole
+  /// batch.  Element i of the result decodes codewords[i]; results are the
+  /// same at any batch split, a batch of one included.
   [[nodiscard]] std::vector<DecodeResult> decode_batch(
       std::span<const std::span<const std::uint8_t>> codewords) const;
 
   /// Same decodes through the scalar reference build of the kernels
-  /// (bch_reference.cpp).  Test observability: ecc_test diffs these against
-  /// decode()/decode_batch() bit-for-bit.
-  [[nodiscard]] DecodeResult decode_reference(
-      std::span<const std::uint8_t> codeword_bits) const;
+  /// (bch_reference.cpp).  Test observability: ecc_test diffs it against
+  /// decode_batch() bit-for-bit.
   [[nodiscard]] std::vector<DecodeResult> decode_batch_reference(
       std::span<const std::span<const std::uint8_t>> codewords) const;
 

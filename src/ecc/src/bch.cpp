@@ -388,18 +388,6 @@ BchCode::DecodeResult BchCode::decode_with(
   return record(result);
 }
 
-BchCode::DecodeResult BchCode::decode(
-    std::span<const std::uint8_t> codeword_bits) const {
-  detail::BchScratch scratch;
-  return decode_with(codeword_bits, kSimdKernels, scratch);
-}
-
-BchCode::DecodeResult BchCode::decode_reference(
-    std::span<const std::uint8_t> codeword_bits) const {
-  detail::BchScratch scratch;
-  return decode_with(codeword_bits, kReferenceKernels, scratch);
-}
-
 std::vector<BchCode::DecodeResult> BchCode::decode_batch(
     std::span<const std::span<const std::uint8_t>> codewords) const {
   std::vector<DecodeResult> out;

@@ -59,8 +59,9 @@ constexpr std::size_t kOpCount = 11;
 /// Protocol revision this build speaks.  v1 had ops read..ping and the
 /// 14-field stats payload; v2 adds the hello handshake, hidden_info, and
 /// the pack counters in the stats payload; v3 appends bytes_copied to the
-/// stats payload.
-constexpr std::uint32_t kProtocolVersion = 3;
+/// stats payload; v4 drops the deadline-dispatch counter from it (18
+/// fields), since the device no longer has a deadline clock.
+constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Feature flags advertised in the hello exchange.
 constexpr std::uint64_t kFeatureHiddenInfo = 1ull << 0;
@@ -116,7 +117,7 @@ Status decode_response(std::span<const std::uint8_t> body, Response& out);
 
 /// DeviceStats as a stats-response payload: every DeviceStats::kFields
 /// field as a u64, in table order (protocol v2 appends the hidden/pack
-/// counters, v3 bytes_copied).
+/// counters, v3 bytes_copied, v4 drops the deadline-dispatch counter).
 void encode_device_stats(const dev::DeviceStats& stats,
                          std::vector<std::uint8_t>& out);
 Status decode_device_stats(std::span<const std::uint8_t> bytes,

@@ -17,14 +17,17 @@
 //   * QoS: the frame's priority byte maps straight onto dev::Priority, so
 //     a foreground read overtakes queued background hidden maintenance in
 //     the device's dispatch order, exactly as local submitters would.
-//   * Starvation-free: when the wire goes quiet with requests still
-//     queued, each poll timeout advances the device's deadline clock
-//     (StashDevice::idle_tick), so a lone queued read completes without a
-//     follow-up submission.
-//   * Graceful shutdown: stop() stops accepting, dispatches everything
-//     queued on the device, resolves every in-flight request (responses
-//     flushed best-effort; futures of disconnected clients consumed and
-//     counted as dropped), then closes.  No future is ever abandoned.
+//   * Starvation-free: every poll round that submitted device work ends
+//     with StashDevice::drain(), so a lone queued read completes without a
+//     follow-up submission.  Writes the device holds for admission behind
+//     a running destage resolve when it completes; its completion hook
+//     wakes the reactor to answer them.
+//   * Graceful shutdown: stop() stops accepting and reading, dispatches
+//     everything queued on the device, resolves every in-flight request —
+//     waiting for writes held for admission behind a running destage —
+//     (responses flushed best-effort; futures of disconnected clients
+//     consumed and counted as dropped), then closes.  No future is ever
+//     abandoned.
 //   * Deterministic mode: each request is submitted, dispatched, and its
 //     response encoded before the next frame is processed.  With a single
 //     client driving a fixed workload, the per-instance stats (and hence
@@ -55,12 +58,6 @@ struct ServerConfig {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Dispatch-and-respond after every frame; see the header comment.
   bool deterministic = false;
-  /// Dispatch the device queue at the end of every poll round that
-  /// submitted something (low latency).  Off, the device's own batch /
-  /// deadline triggers rule, which favours coalescing over latency.
-  bool drain_per_round = true;
-  /// epoll timeout; each timeout with work in flight is one idle tick.
-  int poll_timeout_ms = 10;
 };
 
 /// Per-instance event counts.  Everything here is a pure function of the
@@ -108,7 +105,8 @@ class Server {
   /// kInvalidArgument with the errno text.
   Status start();
   /// Graceful shutdown; idempotent, safe from any thread (not the
-  /// reactor's own callbacks).  Returns when the reactor has exited.
+  /// reactor's own callbacks).  Returns when the reactor has exited, which
+  /// is after the device's running destage if writes wait on it.
   void stop();
   [[nodiscard]] bool running() const noexcept;
 

@@ -32,13 +32,17 @@ using util::ErrorCode;
 
 namespace {
 
-// The instruments with no per-instance home in NetStats: reactor idle
-// ticks, the live-connection gauge and wall-clock latency histograms.  Wall
+// epoll timeout of the reactor.  stop() and the device's completion hook
+// wake it through wake_fd, so the timeout only bounds how long a missed
+// wake-up could go unnoticed.
+constexpr int kPollTimeoutMs = 10;
+
+// The instruments with no per-instance home in NetStats: the
+// live-connection gauge and wall-clock latency histograms.  Wall
 // values live ONLY here — the per-instance NetStats stays a pure function
 // of the byte streams (the deterministic-export contract).
 struct NetTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& idle_ticks = reg.counter("net.idle_ticks");
   telemetry::Gauge& active = reg.gauge("net.active_connections");
   telemetry::LatencyHistogram& read_latency =
       reg.histogram("net.read_latency_ns");
@@ -417,8 +421,10 @@ struct Server::Impl {
     return resp;
   }
 
-  void resolve_ready(Conn& c) {
-    while (!c.pending.empty() && pending_ready(c.pending.front())) {
+  /// Encode the responses at the front of c's pipeline that are ready; with
+  /// `wait`, wait for each one until the pipeline is empty.
+  void resolve(Conn& c, bool wait) {
+    while (!c.pending.empty() && (wait || pending_ready(c.pending.front()))) {
       Pending p = std::move(c.pending.front());
       c.pending.pop_front();
       --in_flight;
@@ -457,7 +463,7 @@ struct Server::Impl {
     for (auto& [fd, conn] : conns) {
       Conn& c = *conn;
       if (c.dead) continue;
-      resolve_ready(c);
+      resolve(c, /*wait=*/false);
       flush_out(c);
       if (!c.dead) queued = process_frames(c) || queued;
       if (!c.dead) flush_out(c);
@@ -500,17 +506,10 @@ struct Server::Impl {
     while (!stop_requested.load(std::memory_order_acquire)) {
       const int n = epoll_wait(epoll_fd, events.data(),
                                static_cast<int>(events.size()),
-                               config.poll_timeout_ms);
+                               kPollTimeoutMs);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
-      }
-      if (n == 0 && in_flight > 0) {
-        // The wire went quiet with requests still queued: advance the
-        // device's deadline clock so they cannot starve (the satellite
-        // bugfix this server depends on).
-        (void)device.idle_tick();
-        net_telemetry().idle_ticks.inc();
       }
       bool queued = false;
       for (int i = 0; i < n; ++i) {
@@ -538,15 +537,14 @@ struct Server::Impl {
         }
         if ((ev & EPOLLOUT) && !c.dead) flush_out(c);
       }
-      // Dispatch what this round submitted, then resolve/transmit.  A
-      // sweep can unthrottle buffered frames that queue more work, so
-      // iterate until the round is quiescent.
+      // Dispatch what this round submitted (deterministic mode already did,
+      // per frame), then resolve/transmit.  A sweep can unthrottle buffered
+      // frames that queue more work, so iterate until the round is
+      // quiescent.
       do {
-        if (queued && config.drain_per_round && !config.deterministic) {
-          device.drain();
-        }
+        if (queued && !config.deterministic) device.drain();
         queued = sweep();
-      } while (queued && (config.drain_per_round || config.deterministic));
+      } while (queued);
     }
     shutdown_graceful();
   }
@@ -557,10 +555,15 @@ struct Server::Impl {
       ::close(listen_fd);
       listen_fd = -1;
     }
-    // Everything queued on the device executes now; every in-flight
-    // future becomes ready.
+    // Everything queued on the device executes now, and no further frame
+    // is read: a request decoded here would be submitted after the drain.
+    // A write the device holds for admission behind a running destage
+    // resolves only when that destage completes; resolve() waits for it,
+    // so a connected client is answered every request the server read.
     device.drain();
-    (void)sweep();
+    for (auto& [fd, conn] : conns) {
+      if (!conn->dead) resolve(*conn, /*wait=*/true);
+    }
     // Best-effort transmit of the encoded responses: short-poll each
     // still-connected client, then close regardless.
     for (auto& [fd, conn] : conns) {
@@ -576,8 +579,10 @@ struct Server::Impl {
       c.dead = true;
     }
     reap();
-    // Zombie results (including clients that vanished mid-shutdown) are
-    // all ready after the drain above; consume them.
+    // Consume the zombie results (clients that vanished before or during
+    // the shutdown).  Their queued requests ran in the drain above; a write
+    // still awaiting admission makes take_response() wait for its destage,
+    // so no future is abandoned.
     for (auto& z : zombies) {
       while (!z->pending.empty()) {
         Pending p = std::move(z->pending.front());

@@ -1,19 +1,18 @@
 // StashDevice tests: the async frontend's request scheduler (QoS ordering,
-// deadline dispatch, batching/coalescing), read cache and write-back buffer
-// semantics, the uniform config-validation contract, batch-API convention,
-// thread-count determinism, device-level hidden-volume sharding, and the
-// power-cut durability battery (flush-acknowledged data survives a cut at
-// every operation index; unflushed data is reported lost, never corrupted),
-// and the background destage contract.
+// dispatch on drain or a full batch, batching/coalescing), read cache and
+// write-back buffer semantics, the uniform config-validation contract,
+// batch-API convention, thread-count determinism, device-level
+// hidden-volume sharding, and the power-cut durability battery
+// (flush-acknowledged data survives a cut at every operation index;
+// unflushed data is reported lost, never corrupted), and the background
+// destage contract.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -28,6 +27,8 @@
 #include "stash/fault/plan.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
+
+#include "program_gate.hpp"
 
 namespace stash::dev {
 namespace {
@@ -85,9 +86,6 @@ TEST(DevConfig, ValidateRejectsBadSchedulerKnobs) {
   EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
   config = tiny_config();
   config.batch_pages = config.queue_depth + 1;
-  EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
-  config = tiny_config();
-  config.deadline_ticks = 0;
   EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
   config = tiny_config();
   config.read_cache_shards = 0;
@@ -455,55 +453,6 @@ TEST(DevScheduler, QueueDepthForcesInlineDispatch) {
   EXPECT_GE(dev.stats_snapshot().dispatches, 1u);
 }
 
-TEST(DevScheduler, DeadlineTicksBoundQueueingWithoutDrain) {
-  DeviceConfig config = tiny_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;    // batch size alone would never trigger
-  config.deadline_ticks = 3;  // ...but age does
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 121)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
-  auto read = dev.submit_read(0);
-  // Each write advances the tick; the queued read ages past its deadline
-  // and is dispatched by a later submission, with no explicit drain().
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        dev.write(1 + i, page_pattern(dev.page_bits(), 130 + i)).is_ok());
-  }
-  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_TRUE(read.get().is_ok());
-  EXPECT_GE(dev.stats_snapshot().deadline_dispatches, 1u);
-}
-
-TEST(DevScheduler, IdleTicksCompleteAStarvedReadWithoutNewSubmissions) {
-  // Deadline ticks only advanced on submissions, so a lone queued request
-  // with no follow-up traffic waited forever — exactly the shape a network
-  // client produces when it sends one read and blocks on the response.
-  // idle_tick() lets an idle poll loop age the queue instead.
-  DeviceConfig config = tiny_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;    // never dispatches on queue depth
-  config.deadline_ticks = 3;  // ages out after three idle ticks
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 141)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
-  auto read = dev.submit_read(0);
-  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);  // genuinely starved
-
-  std::size_t depth = 1;
-  for (int tick = 0; tick < 8 && depth > 0; ++tick) depth = dev.idle_tick();
-  EXPECT_EQ(depth, 0u);
-  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_TRUE(read.get().is_ok());
-  EXPECT_GE(dev.stats_snapshot().deadline_dispatches, 1u);
-  EXPECT_EQ(dev.idle_tick(), 0u);  // empty queue: a cheap no-op
-}
-
 // ---- Determinism ----------------------------------------------------------
 
 TEST(DevDeterminism, ThreadCountNeverChangesResultsOrCosts) {
@@ -706,7 +655,6 @@ std::string expected_stats_json(const DeviceStats& s) {
       {"coalesced_writes", s.coalesced_writes},
       {"coalesced_reads", s.coalesced_reads},
       {"dispatches", s.dispatches},
-      {"deadline_dispatches", s.deadline_dispatches},
       {"flushes", s.flushes},
       {"flushed_pages", s.flushed_pages},
       {"lost_writes", s.lost_writes},
@@ -973,37 +921,7 @@ TEST(DevPowerCut, CutWithNonEmptyQueueResolvesEveryKindAndKeepsDurableData) {
 
 // ---- Background destage ---------------------------------------------------
 
-/// Holds every page program at the chip until open() — a destage that
-/// stays in flight for as long as a test needs it to.
-class ProgramGate final : public nand::FaultInjector {
- public:
-  nand::FaultDecision on_operation(nand::FaultOp op, std::uint32_t,
-                                   std::uint32_t) override {
-    if (op == nand::FaultOp::kProgram) {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++held_;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return open_; });
-    }
-    return {};
-  }
-  /// Block until a program is being held.
-  void wait_until_holding() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return held_ > 0; });
-  }
-  void open() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::uint64_t held_ = 0;
-  bool open_ = false;
-};
+using test::ProgramGate;
 
 /// write_back_pages 4 = halves of 2.
 DeviceConfig destage_config() {
@@ -1240,17 +1158,16 @@ TEST(DevDestage, ConcurrentSubmittersReadTheirWritesDuringDestage) {
 }
 
 /// Every DeviceStats field in stats_json() order, for field-wise checks.
-std::array<std::uint64_t, 19> stats_values(const DeviceStats& s) {
+std::array<std::uint64_t, 18> stats_values(const DeviceStats& s) {
   return {s.reads,         s.writes,
           s.trims,         s.cache_hits,
           s.cache_misses,  s.buffer_hits,
           s.coalesced_writes, s.coalesced_reads,
-          s.dispatches,    s.deadline_dispatches,
-          s.flushes,       s.flushed_pages,
-          s.lost_writes,   s.gc_runs,
-          s.hidden_stores, s.hidden_loads,
-          s.pack_logical_bytes, s.pack_packed_bytes,
-          s.bytes_copied};
+          s.dispatches,    s.flushes,
+          s.flushed_pages, s.lost_writes,
+          s.gc_runs,       s.hidden_stores,
+          s.hidden_loads,  s.pack_logical_bytes,
+          s.pack_packed_bytes, s.bytes_copied};
 }
 
 TEST(DevStats, SnapshotWhileDestageRuns) {
@@ -1269,7 +1186,7 @@ TEST(DevStats, SnapshotWhileDestageRuns) {
   std::uint64_t regressions = 0;
   std::uint64_t bad_json = 0;
   std::thread poller([&] {
-    std::array<std::uint64_t, 19> last{};
+    std::array<std::uint64_t, 18> last{};
     while (!done.load(std::memory_order_acquire)) {
       const auto now = stats_values(dev.stats_snapshot());
       for (std::size_t i = 0; i < now.size(); ++i) {

@@ -97,6 +97,18 @@ TEST(GaloisField, EvalPolyHorner) {
 
 // ---------------- BCH ----------------
 
+/// One codeword through decode_batch() / decode_batch_reference().
+BchCode::DecodeResult decode_one(const BchCode& code,
+                                 std::span<const std::uint8_t> codeword) {
+  const std::span<const std::uint8_t> batch[] = {codeword};
+  return code.decode_batch(batch).front();
+}
+BchCode::DecodeResult decode_one_reference(
+    const BchCode& code, std::span<const std::uint8_t> codeword) {
+  const std::span<const std::uint8_t> batch[] = {codeword};
+  return code.decode_batch_reference(batch).front();
+}
+
 struct BchCase {
   int m;
   int t;
@@ -128,7 +140,7 @@ TEST_P(BchRoundTrip, CorrectsUpToTErrors) {
       }
     }
 
-    const auto decoded = code.decode(codeword);
+    const auto decoded = decode_one(code, codeword);
     ASSERT_TRUE(decoded.ok) << "m=" << m << " t=" << t << " errors=" << errors;
     EXPECT_EQ(decoded.corrected, errors);
     EXPECT_EQ(decoded.data_bits, data);
@@ -148,7 +160,7 @@ TEST(Bch, ZeroErrorsFastPath) {
   data[3] = 1;
   data[77] = 1;
   const auto cw = code.encode(data);
-  const auto decoded = code.decode(cw);
+  const auto decoded = decode_one(code, cw);
   ASSERT_TRUE(decoded.ok);
   EXPECT_EQ(decoded.corrected, 0);
   EXPECT_EQ(decoded.data_bits, data);
@@ -169,7 +181,7 @@ TEST(Bch, DetectsBeyondTMostOfTheTime) {
     for (int e = 0; e < 6; ++e) {
       cw[rng.below(cw.size())] ^= 1;
     }
-    const auto decoded = code.decode(cw);
+    const auto decoded = decode_one(code, cw);
     if (!decoded.ok || decoded.data_bits != data) ++failures_reported;
   }
   // Should virtually always fail to silently "repair" to the original.
@@ -186,7 +198,7 @@ TEST(Bch, ShorteningPreservesCorrection) {
     auto cw = code.encode(data);
     cw[0] ^= 1;
     cw[cw.size() - 1] ^= 1;
-    const auto decoded = code.decode(cw);
+    const auto decoded = decode_one(code, cw);
     ASSERT_TRUE(decoded.ok) << "len=" << len;
     EXPECT_EQ(decoded.data_bits, data);
   }
@@ -255,7 +267,7 @@ TEST(Bch, PickTForCodewordSurvivesChannelSimulation) {
     for (auto& bit : cw) {
       if (rng.uniform() < p) bit ^= 1;
     }
-    const auto decoded = code.decode(cw);
+    const auto decoded = decode_one(code, cw);
     failures += !(decoded.ok && decoded.data_bits == data);
   }
   EXPECT_LE(failures, 1);
@@ -285,7 +297,7 @@ TEST(Bch, RandomBerSurvivalSweep) {
     for (auto& bit : cw) {
       if (rng.uniform() < p) bit ^= 1;
     }
-    const auto decoded = code.decode(cw);
+    const auto decoded = decode_one(code, cw);
     ok += decoded.ok && decoded.data_bits == data;
   }
   EXPECT_GE(ok, trials - 1);
@@ -294,9 +306,8 @@ TEST(Bch, RandomBerSurvivalSweep) {
 // ---------------- SIMD vs scalar-reference decode ----------------
 //
 // The decoder's hot loops exist twice: the forced-SIMD build
-// (bch_kernels.cpp) behind decode()/decode_batch(), and the
-// vectorization-disabled scalar build (bch_reference.cpp) behind
-// decode_reference()/decode_batch_reference().  The kernels are pure
+// (bch_kernels.cpp) behind decode_batch(), and the vectorization-disabled
+// scalar build (bch_reference.cpp) behind decode_batch_reference().  The kernels are pure
 // integer table arithmetic, so the two builds must agree bit-for-bit —
 // these batteries diff full decodes (data bits, corrected count, ok flag)
 // across them.
@@ -328,8 +339,8 @@ TEST(BchSimdVsReference, EveryErrorWeightZeroToT) {
             cw[p] ^= 1;
           }
         }
-        const auto simd = code.decode(cw);
-        const auto ref = code.decode_reference(cw);
+        const auto simd = decode_one(code, cw);
+        const auto ref = decode_one_reference(code, cw);
         expect_same_result(simd, ref,
                            "m=" + std::to_string(c.m) +
                                " weight=" + std::to_string(w));
@@ -352,8 +363,8 @@ TEST(BchSimdVsReference, EverySingleBitFlipPosition) {
   for (std::size_t p = 0; p < clean.size(); ++p) {
     auto cw = clean;
     cw[p] ^= 1;
-    const auto simd = code.decode(cw);
-    const auto ref = code.decode_reference(cw);
+    const auto simd = decode_one(code, cw);
+    const auto ref = decode_one_reference(code, cw);
     expect_same_result(simd, ref, "flip@" + std::to_string(p));
     ASSERT_TRUE(simd.ok) << "flip@" << p;
     EXPECT_EQ(simd.corrected, 1);
@@ -378,8 +389,8 @@ TEST(BchSimdVsReference, RandomWeightTPatterns) {
         cw[p] ^= 1;
       }
     }
-    const auto simd = code.decode(cw);
-    const auto ref = code.decode_reference(cw);
+    const auto simd = decode_one(code, cw);
+    const auto ref = decode_one_reference(code, cw);
     expect_same_result(simd, ref, "trial=" + std::to_string(trial));
     ASSERT_TRUE(simd.ok);
     EXPECT_EQ(simd.corrected, code.t());
@@ -388,7 +399,7 @@ TEST(BchSimdVsReference, RandomWeightTPatterns) {
 }
 
 TEST(BchSimdVsReference, BatchInvariantUnderAnySplit) {
-  // decode_batch must equal per-codeword decode() no matter how the batch
+  // decode_batch must equal one-codeword batches no matter how the batch
   // is partitioned: scratch reuse across the batch cannot leak state.
   BchCode code(10, 5);
   Xoshiro256 rng(0xba7c4ULL);
@@ -409,7 +420,7 @@ TEST(BchSimdVsReference, BatchInvariantUnderAnySplit) {
         cw[p] ^= 1;
       }
     }
-    singles.push_back(code.decode(cw));
+    singles.push_back(decode_one(code, cw));
     words.push_back(std::move(cw));
   }
   std::vector<std::span<const std::uint8_t>> views;
@@ -452,7 +463,7 @@ TEST(BchSimdVsReference, ConcurrentBatchesShareOneCode) {
     for (int w = 0; w < i % (code.t() + 1); ++w) {
       cw[rng.below(cw.size())] ^= 1;  // weight may collide; reference below
     }
-    expected.push_back(code.decode_reference(cw));
+    expected.push_back(decode_one_reference(code, cw));
     words.push_back(std::move(cw));
   }
   std::vector<std::span<const std::uint8_t>> views;

@@ -5,8 +5,8 @@
 // mismatch refused as clean kUnsupported plus hangup, never mid-stream
 // corruption), hidden_info parity across the wire, graceful shutdown
 // accounting (requests == responses + dropped, no abandoned futures),
-// mid-flight disconnects, deterministic-mode byte-identical stats export,
-// and idle-tick starvation rescue of a lone remote read.
+// mid-flight disconnects and stop() while writes wait for admission behind
+// a running destage, and deterministic-mode byte-identical stats export.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +29,8 @@
 #include "stash/net/server.hpp"
 #include "stash/pack/pack.hpp"
 #include "stash/util/rng.hpp"
+
+#include "program_gate.hpp"
 
 namespace stash::net {
 namespace {
@@ -176,7 +178,7 @@ TEST(NetProtocol, OversizedFrameHeaderIsCorruptionNotAllocation) {
 }
 
 TEST(NetProtocol, DeviceStatsPayloadIsPinned) {
-  // The v3 stats payload: 19 little-endian u64s in a fixed order.  The
+  // The v4 stats payload: 18 little-endian u64s in a fixed order.  The
   // expected bytes are spelled out so that a reordered, dropped or added
   // field shows up as a wire change, not as a silently re-agreed layout.
   dev::DeviceStats s;
@@ -189,38 +191,36 @@ TEST(NetProtocol, DeviceStatsPayloadIsPinned) {
   s.coalesced_writes = 7;
   s.coalesced_reads = 8;
   s.dispatches = 9;
-  s.deadline_dispatches = 10;
-  s.flushes = 11;
-  s.flushed_pages = 12;
-  s.lost_writes = 13;
-  s.gc_runs = 14;
-  s.hidden_stores = 15;
-  s.hidden_loads = 16;
-  s.pack_logical_bytes = 17;
-  s.pack_packed_bytes = 18;
-  s.bytes_copied = 19;
+  s.flushes = 10;
+  s.flushed_pages = 11;
+  s.lost_writes = 12;
+  s.gc_runs = 13;
+  s.hidden_stores = 14;
+  s.hidden_loads = 15;
+  s.pack_logical_bytes = 16;
+  s.pack_packed_bytes = 17;
+  s.bytes_copied = 18;
   const std::vector<std::uint8_t> expected = {
-      1, 0, 0, 0, 0, 0, 0, 0,  // reads
-      2, 0, 0, 0, 0, 0, 0, 0,  // writes
-      3, 0, 0, 0, 0, 0, 0, 0,  // trims
-      4, 0, 0, 0, 0, 0, 0, 0,  // cache_hits
-      5, 0, 0, 0, 0, 0, 0, 0,  // cache_misses
-      6, 0, 0, 0, 0, 0, 0, 0,  // buffer_hits
-      7, 0, 0, 0, 0, 0, 0, 0,  // coalesced_writes
-      8, 0, 0, 0, 0, 0, 0, 0,  // coalesced_reads
-      9, 0, 0, 0, 0, 0, 0, 0,  // dispatches
-      10, 0, 0, 0, 0, 0, 0, 0,  // deadline_dispatches
-      11, 0, 0, 0, 0, 0, 0, 0,  // flushes
-      12, 0, 0, 0, 0, 0, 0, 0,  // flushed_pages
-      13, 0, 0, 0, 0, 0, 0, 0,  // lost_writes
-      14, 0, 0, 0, 0, 0, 0, 0,  // gc_runs
-      15, 0, 0, 0, 0, 0, 0, 0,  // hidden_stores
-      16, 0, 0, 0, 0, 0, 0, 0,  // hidden_loads
-      17, 0, 0, 0, 0, 0, 0, 0,  // pack_logical_bytes
-      18, 0, 0, 0, 0, 0, 0, 0,  // pack_packed_bytes
-      19, 0, 0, 0, 0, 0, 0, 0,  // bytes_copied
+      1, 0, 0, 0, 0, 0, 0, 0,   // reads
+      2, 0, 0, 0, 0, 0, 0, 0,   // writes
+      3, 0, 0, 0, 0, 0, 0, 0,   // trims
+      4, 0, 0, 0, 0, 0, 0, 0,   // cache_hits
+      5, 0, 0, 0, 0, 0, 0, 0,   // cache_misses
+      6, 0, 0, 0, 0, 0, 0, 0,   // buffer_hits
+      7, 0, 0, 0, 0, 0, 0, 0,   // coalesced_writes
+      8, 0, 0, 0, 0, 0, 0, 0,   // coalesced_reads
+      9, 0, 0, 0, 0, 0, 0, 0,   // dispatches
+      10, 0, 0, 0, 0, 0, 0, 0,  // flushes
+      11, 0, 0, 0, 0, 0, 0, 0,  // flushed_pages
+      12, 0, 0, 0, 0, 0, 0, 0,  // lost_writes
+      13, 0, 0, 0, 0, 0, 0, 0,  // gc_runs
+      14, 0, 0, 0, 0, 0, 0, 0,  // hidden_stores
+      15, 0, 0, 0, 0, 0, 0, 0,  // hidden_loads
+      16, 0, 0, 0, 0, 0, 0, 0,  // pack_logical_bytes
+      17, 0, 0, 0, 0, 0, 0, 0,  // pack_packed_bytes
+      18, 0, 0, 0, 0, 0, 0, 0,  // bytes_copied
   };
-  ASSERT_EQ(expected.size(), 152u);
+  ASSERT_EQ(expected.size(), 144u);
 
   std::vector<std::uint8_t> bytes;
   encode_device_stats(s, bytes);
@@ -231,8 +231,8 @@ TEST(NetProtocol, DeviceStatsPayloadIsPinned) {
   std::vector<std::uint8_t> again;
   encode_device_stats(back, again);
   EXPECT_EQ(again, expected);
-  EXPECT_EQ(back.lost_writes, 13u);
-  EXPECT_EQ(back.bytes_copied, 19u);
+  EXPECT_EQ(back.lost_writes, 12u);
+  EXPECT_EQ(back.bytes_copied, 18u);
 
   auto truncated = expected;
   truncated.pop_back();
@@ -528,119 +528,183 @@ TEST(NetServer, PipelinedResponsesArriveInRequestOrder) {
   EXPECT_EQ(net.requests, net.responses + net.dropped);
 }
 
+// ---- Shutdown with writes awaiting admission ------------------------------
+//
+// The reactor drains the device queue at the end of every poll round, so
+// what can still be in flight when stop() runs is a write the device holds
+// for admission: both write-back halves full, the older one in a destage
+// that a ProgramGate holds at its first program.
+
+/// A served device whose two write-back halves (2 pages each) are full
+/// with lpns 0..3, the older one destaging and held at the gate: every
+/// further write waits for admission until the gate opens.  At most two
+/// writes may wait; a third would block its submitter (the reactor) until
+/// then.  The gate opens before the server and the device are destroyed,
+/// also after a failed assertion.
+struct HeldDestage {
+  test::ProgramGate gate;
+  StashDevice dev{held_config(), test_key()};
+  Server server{dev};
+
+  HeldDestage() {
+    dev.set_fault_injector(&gate);
+    for (std::uint64_t lpn = 0; lpn < 4; ++lpn) {
+      EXPECT_TRUE(dev.write(lpn, page_pattern(dev.page_bits(), 600 + lpn))
+                      .is_ok());
+    }
+    gate.wait_until_holding();
+  }
+  ~HeldDestage() { gate.open(); }
+
+  static DeviceConfig held_config() {
+    DeviceConfig config = net_config();
+    config.write_back_pages = 4;
+    return config;
+  }
+};
+
+std::vector<std::uint8_t> parked_page(const StashDevice& dev,
+                                      std::uint64_t lpn) {
+  return page_pattern(dev.page_bits(), 700 + lpn);
+}
+
+Request write_request(const StashDevice& dev, std::uint64_t lpn) {
+  Request req;
+  req.op = OpCode::kWrite;
+  req.lpn = lpn;
+  req.data = parked_page(dev, lpn);
+  return req;
+}
+
+/// Run stop() while the gate still holds the destage, check that it waits
+/// for the parked writes, then open the gate: stop() must return promptly.
+void stop_while_held(HeldDestage& held) {
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    held.server.stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load()) << "stop() returned with writes unresolved";
+  const auto opened = std::chrono::steady_clock::now();
+  held.gate.open();
+  stopper.join();
+  // Two tiny-geometry destages; the bound only catches a hang.
+  EXPECT_LT(std::chrono::steady_clock::now() - opened,
+            std::chrono::seconds(10));
+}
+
 TEST(NetServer, GracefulShutdownResolvesEveryInFlightRequest) {
-  // Requests parked in the device queue when stop() is called must all
-  // resolve — dispatched, answered, flushed best-effort — never abandoned.
-  DeviceConfig config = net_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;         // nothing dispatches on its own...
-  config.deadline_ticks = 1 << 20; // ...and the deadline never fires
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 71)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
-  ServerConfig sconfig;
-  sconfig.drain_per_round = false;  // keep the burst queued on the device
-  Server server(dev, sconfig);
-  ASSERT_TRUE(server.start().is_ok());
+  // Writes parked for admission when stop() is called must all resolve —
+  // admitted once the destage completes, answered, flushed best-effort —
+  // never abandoned.
+  HeldDestage held;
+  ASSERT_TRUE(held.server.start().is_ok());
   Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+  ASSERT_TRUE(client.connect("127.0.0.1", held.server.port()).is_ok());
 
-  constexpr std::size_t kParked = 4;
-  for (std::size_t i = 0; i < kParked; ++i) {
-    Request req;
-    req.op = OpCode::kRead;
-    req.lpn = 0;
+  constexpr std::size_t kParked = 2;
+  for (std::uint64_t lpn = 4; lpn < 4 + kParked; ++lpn) {
+    Request req = write_request(held.dev, lpn);
     ASSERT_TRUE(client.send(req).is_ok());
   }
   // + 1 everywhere: connect()'s kHello handshake is a request too, and its
   // response was already consumed inside connect().
-  ASSERT_TRUE(eventually(
-      [&] { return server.stats_snapshot().requests >= kParked + 1; }));
+  ASSERT_TRUE(eventually([&] {
+    return held.server.stats_snapshot().requests >= kParked + 1;
+  }));
 
-  server.stop();
-  const NetStats net = server.stats_snapshot();
+  stop_while_held(held);
+  const NetStats net = held.server.stats_snapshot();
   EXPECT_EQ(net.requests, kParked + 1);
   EXPECT_EQ(net.requests, net.responses + net.dropped);
   EXPECT_EQ(net.responses, kParked + 1);  // client still connected: delivered
 
-  // The best-effort flush really reached the wire: all four responses are
+  // The best-effort flush really reached the wire: both responses are
   // readable before the server-side close.
   for (std::size_t i = 0; i < kParked; ++i) {
     Response resp;
     ASSERT_TRUE(client.recv(resp).is_ok()) << "response " << i;
+    EXPECT_EQ(resp.op, OpCode::kWrite);
     EXPECT_EQ(resp.status, 0) << resp.message;
   }
 }
 
 TEST(NetServer, MidFlightDisconnectIsDroppedNotAbandoned) {
-  // A client that vanishes with requests in flight must not hang stop()
-  // or leak futures: the results are consumed and counted as dropped.
-  DeviceConfig config = net_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;
-  config.deadline_ticks = 1 << 20;
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 81)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
-  ServerConfig sconfig;
-  sconfig.drain_per_round = false;
-  Server server(dev, sconfig);
-  ASSERT_TRUE(server.start().is_ok());
+  // A client that vanishes with writes in flight must not hang stop() or
+  // leak futures: the results are consumed and counted as dropped.
+  HeldDestage held;
+  ASSERT_TRUE(held.server.start().is_ok());
   Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+  ASSERT_TRUE(client.connect("127.0.0.1", held.server.port()).is_ok());
 
-  constexpr std::size_t kParked = 4;
-  for (std::size_t i = 0; i < kParked; ++i) {
-    Request req;
-    req.op = OpCode::kRead;
-    req.lpn = 0;
+  constexpr std::size_t kParked = 2;
+  for (std::uint64_t lpn = 4; lpn < 4 + kParked; ++lpn) {
+    Request req = write_request(held.dev, lpn);
     ASSERT_TRUE(client.send(req).is_ok());
   }
-  ASSERT_TRUE(eventually(
-      [&] { return server.stats_snapshot().requests >= kParked + 1; }));
+  ASSERT_TRUE(eventually([&] {
+    return held.server.stats_snapshot().requests >= kParked + 1;
+  }));
 
   client.close();  // vanish mid-flight
   ASSERT_TRUE(eventually(
-      [&] { return server.stats_snapshot().disconnected >= 1; }));
+      [&] { return held.server.stats_snapshot().disconnected >= 1; }));
 
-  server.stop();  // must return promptly (ctest would time the hang out)
-  const NetStats net = server.stats_snapshot();
+  stop_while_held(held);
+  const NetStats net = held.server.stats_snapshot();
   // connect()'s kHello was answered before the disconnect, so requests and
-  // responses each carry one handshake on top of the parked reads.
+  // responses each carry one handshake on top of the parked writes.
   EXPECT_EQ(net.requests, kParked + 1);
   EXPECT_EQ(net.requests, net.responses + net.dropped);
   EXPECT_EQ(net.dropped, kParked);
   EXPECT_EQ(net.disconnected, 1u);
 }
 
-TEST(NetServer, IdleTicksCompleteAStarvedRemoteRead) {
-  // One client, one read, no follow-up traffic, no per-round drain: only
-  // the poll loop's idle ticks can age the request past its deadline.
-  // Before the idle_tick() hook this blocked forever.
-  DeviceConfig config = net_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;
-  config.deadline_ticks = 3;
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 91)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
+TEST(NetServer, StopWhileWritesAwaitAdmissionAnswersOrDropsEveryWrite) {
+  // Two clients each park one write; one of them vanishes.  stop() runs
+  // while both writes wait for the gated destage: the connected client's
+  // write is answered, the vanished one's counted dropped — and both
+  // writes reach the device, since a dropped answer is not a dropped write.
+  HeldDestage held;
+  ASSERT_TRUE(held.server.start().is_ok());
+  Client stays;
+  Client vanishes;
+  ASSERT_TRUE(stays.connect("127.0.0.1", held.server.port()).is_ok());
+  ASSERT_TRUE(vanishes.connect("127.0.0.1", held.server.port()).is_ok());
+  Request first = write_request(held.dev, 4);
+  Request second = write_request(held.dev, 5);
+  ASSERT_TRUE(stays.send(first).is_ok());
+  ASSERT_TRUE(vanishes.send(second).is_ok());
+  ASSERT_TRUE(eventually(
+      [&] { return held.server.stats_snapshot().requests >= 4; }));
+  vanishes.close();
+  ASSERT_TRUE(eventually(
+      [&] { return held.server.stats_snapshot().disconnected >= 1; }));
 
-  ServerConfig sconfig;
-  sconfig.drain_per_round = false;
-  sconfig.poll_timeout_ms = 2;
-  Server server(dev, sconfig);
-  ASSERT_TRUE(server.start().is_ok());
-  Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+  stop_while_held(held);
+  const NetStats net = held.server.stats_snapshot();
+  EXPECT_EQ(net.requests, 4u);  // two hellos, two writes
+  EXPECT_EQ(net.requests, net.responses + net.dropped);
+  EXPECT_EQ(net.responses, 3u);
+  EXPECT_EQ(net.dropped, 1u);
 
-  auto r = client.read(0);  // blocks until the idle ticks dispatch it
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_EQ(r.value().size(), dev.page_bits());
+  Response resp;
+  ASSERT_TRUE(stays.recv(resp).is_ok());
+  EXPECT_EQ(resp.op, OpCode::kWrite);
+  EXPECT_EQ(resp.status, 0) << resp.message;
 
-  client.close();
-  server.stop();
+  for (const std::uint64_t lpn : {4u, 5u}) {
+    auto r = held.dev.read(lpn);
+    ASSERT_TRUE(r.is_ok()) << "lpn " << lpn;
+    const auto want = parked_page(held.dev, lpn);
+    ASSERT_EQ(r.value().size(), want.size());
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      differ += r.value()[i] != want[i];
+    }
+    EXPECT_LT(differ, want.size() / 4) << "lpn " << lpn;
+  }
 }
 
 /// The canonical NetStats JSON, built field by field in its fixed key

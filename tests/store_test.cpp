@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <set>
@@ -29,10 +30,11 @@ using util::ErrorCode;
 
 /// Per-test scratch directory under the build tree's cwd (not /tmp); removed
 /// on destruction so a failed run leaves debris only for the failing test.
+/// A fresh directory named after the running test and `tag`, so tests that
+/// ctest runs in parallel never share one.
 class ScratchDir {
  public:
-  explicit ScratchDir(const std::string& tag)
-      : path_("./store_test_scratch_" + tag) {
+  explicit ScratchDir(const std::string& tag) : path_(scratch_path(tag)) {
     std::filesystem::remove_all(path_);
     EXPECT_TRUE(ensure_dir(path_).is_ok());
   }
@@ -41,6 +43,16 @@ class ScratchDir {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
+  static std::string scratch_path(const std::string& tag) {
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(test->test_suite_name()) + "_" +
+                       test->name() + "_" + tag;
+    for (char& ch : name) {
+      if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+    }
+    return "./store_test_scratch_" + name;
+  }
+
   std::string path_;
 };
 
