@@ -410,7 +410,7 @@ TEST(DevBatch, WriteBatchReportsPerItemStatus) {
   EXPECT_EQ(util::first_error(statuses).code(), ErrorCode::kOutOfBounds);
 }
 
-// ---- Scheduler: QoS ordering and deadline dispatch ------------------------
+// ---- Scheduler: QoS ordering and dispatch on drain ------------------------
 
 TEST(DevScheduler, ForegroundReadsOvertakeBackgroundWork) {
   DeviceConfig config = tiny_config();
@@ -451,6 +451,81 @@ TEST(DevScheduler, QueueDepthForcesInlineDispatch) {
     EXPECT_TRUE(f.get().is_ok());
   }
   EXPECT_GE(dev.stats_snapshot().dispatches, 1u);
+}
+
+TEST(DevScheduler, QueuedReadWaitsForTheNextDrain) {
+  // No clock ages the queue: short of a full batch, further submissions —
+  // queued reads and staged writes alike — leave a queued read where it
+  // is, and the next drain runs the whole queue in one round.
+  DeviceConfig config = tiny_config();
+  config.queue_depth = 64;
+  config.batch_pages = 64;  // no batch fills in this test
+  StashDevice dev(config, test_key());
+  const auto p0 = page_pattern(dev.page_bits(), 121);
+  ASSERT_TRUE(dev.write(0, p0).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+  const std::uint64_t dispatches = dev.stats_snapshot().dispatches;
+
+  auto read = dev.submit_read(0);
+  std::vector<std::future<util::Result<dev::PageRef>>> more;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        dev.write(1 + i, page_pattern(dev.page_bits(), 130 + i)).is_ok());
+    more.push_back(dev.submit_read(0));
+  }
+  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(dev.stats_snapshot().dispatches, dispatches);
+
+  dev.drain();
+  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  auto r = read.get();
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(matches(r.value(), p0));
+  for (auto& f : more) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(f.get().is_ok());
+  }
+  EXPECT_EQ(dev.stats_snapshot().dispatches, dispatches + 1);
+  EXPECT_EQ(dev.last_dispatch_order().size(), 6u);
+}
+
+TEST(DevScheduler, SynchronousCallsRunEarlierQueuedRequests) {
+  // A synchronous read and hidden_info() each drain the queue first, so
+  // an asynchronous read submitted before them is answered with them.
+  DeviceConfig config = tiny_config();
+  config.queue_depth = 64;
+  config.batch_pages = 64;
+  StashDevice dev(config, test_key());
+  const auto p0 = page_pattern(dev.page_bits(), 141);
+  const auto p1 = page_pattern(dev.page_bits(), 142);
+  ASSERT_TRUE(dev.write(0, p0).is_ok());
+  ASSERT_TRUE(dev.write(1, p1).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+
+  auto queued = dev.submit_read(0);
+  ASSERT_EQ(queued.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  auto sync = dev.read(1);
+  ASSERT_TRUE(sync.is_ok());
+  EXPECT_TRUE(matches(sync.value(), p1));
+  ASSERT_EQ(queued.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  auto r = queued.get();
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(matches(r.value(), p0));
+
+  queued = dev.submit_read(1);
+  ASSERT_EQ(queued.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  (void)dev.hidden_info();  // no hidden store yet: the status may be an error
+  ASSERT_EQ(queued.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  r = queued.get();
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(matches(r.value(), p1));
 }
 
 // ---- Determinism ----------------------------------------------------------

@@ -6,7 +6,8 @@
 // corruption), hidden_info parity across the wire, graceful shutdown
 // accounting (requests == responses + dropped, no abandoned futures),
 // mid-flight disconnects and stop() while writes wait for admission behind
-// a running destage, and deterministic-mode byte-identical stats export.
+// a running destage, a lone remote read answered by the reactor's
+// end-of-round drain, and deterministic-mode byte-identical stats export.
 
 #include <gtest/gtest.h>
 
@@ -705,6 +706,53 @@ TEST(NetServer, StopWhileWritesAwaitAdmissionAnswersOrDropsEveryWrite) {
     }
     EXPECT_LT(differ, want.size() / 4) << "lpn " << lpn;
   }
+}
+
+TEST(NetServer, LoneRemoteReadIsAnsweredByTheEndOfRoundDrain) {
+  // One client, one read, no follow-up traffic, and a device whose batch
+  // never fills: only the reactor's drain at the end of the poll round
+  // that submitted the read can run it.  The test waits for that dispatch
+  // on the device before it blocks on the response, so a missing drain
+  // fails within ~2 s instead of hanging; stop() then drains the read.
+  DeviceConfig config = net_config();
+  config.queue_depth = 64;
+  config.batch_pages = 64;
+  StashDevice dev(config, test_key());
+  const auto page = page_pattern(dev.page_bits(), 91);
+  ASSERT_TRUE(dev.write(0, page).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+  const std::uint64_t dispatches = dev.stats_snapshot().dispatches;
+
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+
+  Request req;
+  req.op = OpCode::kRead;
+  req.lpn = 0;
+  ASSERT_TRUE(client.send(req).is_ok());
+  ASSERT_TRUE(eventually(
+      [&] { return dev.stats_snapshot().dispatches == dispatches + 1; }))
+      << "the read is still queued on the device";
+
+  Response resp;
+  ASSERT_TRUE(client.recv(resp).is_ok());
+  EXPECT_EQ(resp.op, OpCode::kRead);
+  ASSERT_EQ(resp.status, 0) << resp.message;
+  ASSERT_EQ(resp.data.size(), page.size());
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    differ += resp.data[i] != page[i];
+  }
+  EXPECT_LT(differ, page.size() / 4);
+
+  client.close();
+  server.stop();
+  const NetStats net = server.stats_snapshot();
+  EXPECT_EQ(net.requests, 2u);  // hello + the read
+  EXPECT_EQ(net.requests, net.responses + net.dropped);
+  EXPECT_EQ(net.dropped, 0u);
 }
 
 /// The canonical NetStats JSON, built field by field in its fixed key
